@@ -18,8 +18,7 @@ import resource
 import shutil
 import sys
 import tempfile
-import time
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 PKG = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(PKG)
@@ -28,6 +27,12 @@ STATE = os.path.join(ROOT, ".perfbench")
 
 #: Variables the benchmark sets for itself and its child processes.
 SET_BY_BENCHMARK = ("HOME", "TMPDIR", "PYTHONPATH")
+
+#: The ``REPRO_*`` variables the benchmark was started with, taken when
+#: this module is first imported, before ``prepare_environment``.
+REPRO_ENV_AT_START = {
+    k: v for k, v in os.environ.items() if k.startswith("REPRO_")
+}
 
 #: Every metric the benchmark can print, with its unit.  The self-test
 #: checks this table against BENCHMARK.json.
@@ -157,9 +162,18 @@ def fingerprint() -> Dict[str, object]:
             k: v for k, v in sorted(os.environ.items())
             if k.startswith("REPRO_")
         },
-        "repro_env_set_by_benchmark": [],
+        "repro_env_set_by_benchmark": repro_env_set_by_benchmark(),
         "env_set_by_benchmark": list(SET_BY_BENCHMARK),
     }
+
+
+def repro_env_set_by_benchmark() -> List[str]:
+    """``REPRO_*`` variables added, changed or removed since start-up."""
+    now = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    return sorted(
+        k for k in set(now) | set(REPRO_ENV_AT_START)
+        if now.get(k) != REPRO_ENV_AT_START.get(k)
+    )
 
 
 def peak_rss_mb(include_children: bool = False) -> float:
@@ -171,32 +185,57 @@ def peak_rss_mb(include_children: bool = False) -> float:
     return peak / 1024.0
 
 
-#: A measured interval counts as disturbed when the hypervisor gave
-#: more than this share of the guest's CPU time to other guests.
+#: A measured interval counts as disturbed when the hypervisor gave to
+#: other guests more than this share of the CPU time this guest wanted.
 STEAL_LIMIT = 0.1
+
+
+def _cpu_ticks(cpu: Optional[int] = None) -> tuple:
+    """(busy, steal) clock ticks from ``/proc/stat``.
+
+    Of all CPUs, or of CPU ``cpu`` alone.  Busy is user + nice + system
+    + irq + softirq: the CPU time the guest ran.  Both are 0 when
+    ``/proc/stat`` cannot be read.
+    """
+    label = "cpu" if cpu is None else f"cpu{cpu}"
+    fields = []
+    try:
+        with open("/proc/stat") as fh:
+            for line in fh:
+                parts = line.split()
+                if parts and parts[0] == label:
+                    fields = [int(f) for f in parts[1:9]]
+                    break
+    except (OSError, ValueError):
+        return 0, 0
+    if len(fields) < 8:
+        return 0, 0
+    user, nice, system, _idle, _iowait, irq, softirq, steal = fields
+    return user + nice + system + irq + softirq, steal
 
 
 def steal_seconds() -> float:
     """CPU time the hypervisor gave to other guests (0 if unknown)."""
-    try:
-        with open("/proc/stat") as fh:
-            fields = fh.readline().split()
-        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
-    except (OSError, IndexError, ValueError):
-        return 0.0
+    return _cpu_ticks()[1] / os.sysconf("SC_CLK_TCK")
 
 
 class StealMeter:
-    """Share of the CPUs taken by other guests over one interval."""
+    """Share of the guest's wanted CPU time taken by other guests.
 
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-        self.steal = steal_seconds()
+    The share is stolen / (busy + stolen) over one interval, so it does
+    not depend on how many CPUs the program keeps busy: an idle CPU
+    accrues no steal and adds nothing to either side.  ``cpu`` limits
+    the meter to one CPU.
+    """
+
+    def __init__(self, cpu: Optional[int] = None) -> None:
+        self.cpu = cpu
+        self.busy, self.steal = _cpu_ticks(cpu)
 
     def share(self) -> float:
-        wall = time.perf_counter() - self.start
-        cpus = os.cpu_count() or 1
-        return (steal_seconds() - self.steal) / (wall * cpus) if wall else 0.0
+        busy, steal = _cpu_ticks(self.cpu)
+        stolen = steal - self.steal
+        return ratio(stolen, busy - self.busy + stolen)
 
 
 def undisturbed(samples: Sequence, shares: Sequence[float]) -> list:
@@ -204,11 +243,15 @@ def undisturbed(samples: Sequence, shares: Sequence[float]) -> list:
 
     Host contention from other virtual machines comes in episodes of
     seconds and says nothing about the program, so figures are taken
-    over the undisturbed samples (operations or time windows).  When
-    fewer than half are undisturbed, every sample is kept.
+    over the samples (operations or time windows) whose steal share is
+    at most ``STEAL_LIMIT``.  When fewer than half qualify, the half
+    with the lowest share is kept instead.  Samples stay in their
+    original order.
     """
-    clean = [s for s, share in zip(samples, shares) if share <= STEAL_LIMIT]
-    return clean if 2 * len(clean) >= len(samples) else list(samples)
+    order = sorted(range(len(samples)), key=lambda i: shares[i])
+    clean = [i for i in order if shares[i] <= STEAL_LIMIT]
+    keep = max(len(clean), (len(samples) + 1) // 2)
+    return [samples[i] for i in sorted(order[:keep])]
 
 
 def percentile(values: Sequence[float], q: float) -> float:

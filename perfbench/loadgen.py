@@ -3,7 +3,7 @@
 Run as ``python3 loadgen.py PLAN OUT``.  ``PLAN`` is a JSON file
 written by the benchmark::
 
-    {"port": 8080, "seconds": 30, "connections": 2,
+    {"port": 8080, "seconds": 30, "connections": 1,
      "requests": [[route, target, revalidate], ...],
      "etags": {target: etag}}
 

@@ -6,10 +6,12 @@ Run from the root of a checkout::
 
 For every workload it checks that an untraced and a traced run print,
 with the units BENCHMARK.json gives, exactly the end-to-end and the
-per-layer metrics BENCHMARK.json names, and that a clean run counts no
-failure.  It then corrupts one result per workload (a wrong area on an
-evolved design, a tampered store row, a tampered served body) and
-checks that the corruption is counted as a failed operation.  It also
+per-layer metrics BENCHMARK.json names, that a clean run counts no
+failure, and that the recorded fingerprint shows no ``REPRO_*``
+variable added or changed by the benchmark.  It then corrupts one
+result per workload (a wrong area on an evolved design, a tampered
+store row, a tampered served body) and checks that the corruption is
+counted as a failed operation.  It also
 checks that ``run.py`` refuses to run, without a result, in a directory
 that holds only the benchmark.  Exits non-zero on the first problem.
 """
@@ -97,6 +99,10 @@ def main() -> int:
                     f"{label}: clean run reported {result['failed']} "
                     f"failures of {result['attempted']}: "
                     f"{out['record']['untraced']['failures']}")
+            changed = out["record"]["fingerprint"][
+                "repro_env_set_by_benchmark"]
+            _expect(changed == [],
+                    f"{label}: the benchmark set REPRO_* variables {changed}")
             print(f"selftest: ok {label}: {result['attempted']} attempted")
         out = run.measure(workload, 3, 1.0, False, tiny=True, corrupt=True)
         result = out["result"]
