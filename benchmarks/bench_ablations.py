@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of three design choices of the search.
 
 Small-scale (4-bit, seconds per run) so the whole module is cheap:
 

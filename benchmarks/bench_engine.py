@@ -9,8 +9,9 @@ Measures, for one operand width:
   engine's cache-hit path;
 * **brood batch dispatch** — a realistic (1 + lambda) brood evaluated
   through ``evaluate_batch`` vs. one ``evaluate`` call per candidate,
-  with the OpenMP team enabled and forced serial (``REPRO_OMP=0``),
-  asserting all four paths return identical results;
+  serially (the default) and under an OpenMP team
+  (``REPRO_OMP=BROOD_OMP_THREADS``), asserting all paths return
+  identical results;
 * **end-to-end evolution** — ``evolve()`` wall time and evaluations/s
   under both evaluators with the same RNG seed, asserting the
   ``(wmed, area)`` trajectories are identical (the engine must change
@@ -122,15 +123,22 @@ def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
     }
 
 
+#: OpenMP team size the brood benchmark's threaded leg requests.
+BROOD_OMP_THREADS = 2
+
+
 def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
     """Batched vs per-candidate dispatch on one realistic brood.
 
     Builds ``lam`` mutants of the exact seed (a fixed RNG, so the brood
     is identical across runs/commits), then times: sequential
-    ``evaluate`` per candidate, ``evaluate_batch`` with the OpenMP knob
-    forced serial (``REPRO_OMP=0``), and ``evaluate_batch`` under the
-    default knob.  Caching is disabled so the numbers measure raw
-    dispatch, and all paths are checked for identical results.
+    ``evaluate`` per candidate, ``evaluate_batch`` forced serial
+    (``REPRO_OMP=0``), and ``evaluate_batch`` with an OpenMP team of
+    :data:`BROOD_OMP_THREADS` requested.  The brood is weighted
+    uniformly, so its reduction is the exact-integer C fold: the one
+    path on which the engine runs a team.  Caching is disabled so the
+    numbers measure raw dispatch, and all paths are checked for
+    identical results.
     """
     from repro.core.mutation import mutate
 
@@ -168,7 +176,7 @@ def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
         set_omp("0")
         serial_ms = _time_ms(run_batch, reps, rounds)
         serial_res = run_batch()
-        set_omp(None)
+        set_omp(str(BROOD_OMP_THREADS))
         omp_ms = _time_ms(run_batch, reps, rounds)
         omp_res = run_batch()
     finally:
@@ -395,6 +403,7 @@ def main(argv=None) -> int:
             "lam": args.lam,
             "smoke": args.smoke,
             "repro_omp": os.environ.get("REPRO_OMP", ""),
+            "brood_omp_threads": BROOD_OMP_THREADS,
         },
         "backend": backend,
         "single_eval": single,

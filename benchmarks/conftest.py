@@ -13,8 +13,7 @@ Budget knobs (environment variables):
 * ``REPRO_BENCH_TEST``   — test-set size per network (default 800).
 
 The paper used 1-hour / 10^6-iteration runs repeated 10-25 times; these
-defaults reproduce the qualitative shape in minutes.  EXPERIMENTS.md
-records the budget used for the archived results.
+defaults reproduce the qualitative shape in minutes.
 """
 
 from __future__ import annotations

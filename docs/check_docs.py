@@ -20,6 +20,11 @@ each kind against the live implementation:
   serving layer's route table, and every query parameter must be one
   the route declares.
 
+Beyond fences, every reference to a repository ``.md`` document — in
+the docs themselves and in the docstrings and comments of ``src/``,
+``benchmarks/``, ``examples/``, ``docs/`` and ``perfbench/`` — must
+name a file that exists (see :func:`check_md_refs`).
+
 Run from the repo root (CI does, as does ``tests/test_docs.py``)::
 
     python docs/check_docs.py            # exit 1 on any drift
@@ -199,11 +204,56 @@ def check_json(body: str, where: str, errors: List[str]) -> None:
 
 
 # ----------------------------------------------------------------------
+# References to repository documents
+# ----------------------------------------------------------------------
+_MD_REF = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)\b")
+_MD_LINK = re.compile(r"\]\(([^)#\s]+\.md)(?:#[^)]*)?\)")
+_DOC_NAME = re.compile(r"^[A-Z0-9_-]+\.md$")
+
+
+def check_md_refs(text: str, path: str, errors: List[str]) -> int:
+    """Flag references to repository ``.md`` documents that do not exist.
+
+    A reference is a path with a directory part (``docs/api.md``), an
+    upper-case document name (``README.md``) or a Markdown link target.
+    Bare lower-case names such as ``catalog.md`` are files the program
+    writes, not documents, and are not checked.  A reference resolves
+    against the repository root, the referencing file's directory or
+    ``docs/``.  Returns the number of references checked.
+    """
+    rel = os.path.relpath(path, REPO)
+    bases = (REPO, os.path.dirname(path), os.path.join(REPO, "docs"))
+    checked = 0
+    for number, line in enumerate(text.splitlines(), 1):
+        refs = {m for m in _MD_REF.findall(line)
+                if "/" in m or _DOC_NAME.match(m)}
+        refs.update(_MD_LINK.findall(line))
+        for ref in sorted(refs):
+            checked += 1
+            if not any(os.path.isfile(os.path.join(b, ref)) for b in bases):
+                errors.append(
+                    f"{rel}:{number}: references {ref!r}, which does not "
+                    "exist in the repository"
+                )
+    return checked
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def doc_files() -> List[str]:
     files = [os.path.join(REPO, "README.md")]
     files += sorted(glob.glob(os.path.join(REPO, "docs", "*.md")))
+    return files
+
+
+def reference_files() -> List[str]:
+    """Docs plus every program file whose text may cite a document."""
+    files = doc_files()
+    for top in ("src", "benchmarks", "examples", "docs", "perfbench"):
+        files += sorted(glob.glob(
+            os.path.join(REPO, top, "**", "*.py"), recursive=True
+        ))
     return files
 
 
@@ -232,13 +282,19 @@ def main(argv=None) -> int:
             if args.list:
                 print(f"checked {where} ({language})")
 
+    refs = 0
+    for path in reference_files():
+        with open(path, encoding="utf-8") as fh:
+            refs += check_md_refs(fh.read(), path, errors)
+
     if errors:
         for error in errors:
             print(f"DRIFT: {error}", file=sys.stderr)
-        print(f"{len(errors)} problem(s) in {checked} fences",
-              file=sys.stderr)
+        print(f"{len(errors)} problem(s) in {checked} fences and "
+              f"{refs} document references", file=sys.stderr)
         return 1
-    print(f"all {checked} documentation fences match the implementation")
+    print(f"all {checked} documentation fences match the implementation; "
+          f"all {refs} document references exist")
     return 0
 
 

@@ -27,9 +27,12 @@ batched path (``CompiledObjective.evaluate_batch``: phenotype dedupe,
 cache lookup, then one ``cgp_eval_batch`` dispatch per brood).  Two
 levels of parallelism therefore exist and compose: the sweep fans runs
 out over *processes/threads* here (one evaluator per worker — arenas
-are single-owner), while ``REPRO_OMP`` controls the *intra-brood*
-OpenMP team inside one native dispatch.  When fanning out sweeps,
-leave ``REPRO_OMP`` at/below 1 so the levels don't oversubscribe cores.
+are single-owner), while ``REPRO_OMP`` can opt in to an *intra-brood*
+OpenMP team inside one native dispatch.  The engine is serial by
+default and runs a requested team only on exact-integer reductions:
+on float reductions the team's spinning workers contend with
+OpenBLAS's ``np.dot`` pool for the cores.  When fanning out sweeps,
+leave ``REPRO_OMP`` unset so the levels don't oversubscribe cores.
 """
 
 from __future__ import annotations
@@ -611,7 +614,7 @@ def _front_task(
     executors.  Each task builds its own objective: engine arenas are
     single-owner (``BufferArena.assert_owner``), and process workers
     cannot share them anyway.  The objective's batched brood dispatch
-    (and its ``REPRO_OMP`` team, if enabled) lives entirely inside this
+    (and its opt-in ``REPRO_OMP`` team, if any) lives entirely inside this
     worker, so per-task results never depend on worker count.
     """
     (

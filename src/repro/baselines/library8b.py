@@ -5,7 +5,7 @@ the paper's comparisons: a shelf of general-purpose approximate
 multipliers spanning the error/cost plane, none of which knows anything
 about the target application's data distribution.  Entries are generated
 parametrically from the truncated / broken-array / zero-guarded families
-(see DESIGN.md, "Substitutions").
+(see README.md, "Substitutions").
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import math
 from time import perf_counter_ns
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -226,7 +226,6 @@ class _Runtime:
             self.p_b_out_slots = a.batch_out_slots.ctypes.data
             self.p_b_n_ops = a.batch_n_ops.ctypes.data
             self.p_b_scratch = a.batch_scratch.ctypes.data
-            self.p_b_err = a.batch_err.ctypes.data
             self.p_b_stats = a.batch_stats.ctypes.data
             # Fully precomposed cgp_compile argument tails, one per slab
             # lane: compile_into_lane then costs one ctypes call with no
@@ -321,48 +320,43 @@ class _Runtime:
         a = self.arena
         return float(self.area_by_op[a.batch_ops[lane, :n_ops]].sum())
 
-    def execute_batch(
-        self, n_lanes: int, signed: bool, nthreads: int,
-        stats: bool = False,
-    ) -> None:
-        """Run + decode-error all ``n_lanes`` compiled lanes.
+    def execute_batch(self, n_lanes: int, signed: bool) -> None:
+        """Run + decode-error all ``n_lanes`` lanes (numpy backend).
 
-        One native call (candidate loop in C, optionally OpenMP) or the
-        equivalent numpy loop; either way ``arena.batch_err[k]`` receives
-        lane ``k``'s per-vector distances, bit-identical to the
-        single-candidate path.  With ``stats`` (native only) lane ``k``'s
-        distances reduce into ``arena.batch_stats[k]`` instead and the
-        error rows stay untouched.
-
-        On the serial native path the lane and transpose-scratch strides
-        are 0: each candidate finishes (execute + decode) before the
-        next starts and a compiled program writes every non-input slot
-        before reading it, so all candidates soundly share lane 0 — a
-        working set that stays cache-resident instead of streaming one
-        cold lane per candidate.  Threaded dispatch needs the private
-        lanes and passes the full strides.
+        Lane ``k``'s per-vector distances land in ``arena.batch_err[k]``,
+        bit-identical to the single-candidate path.
         """
         a = self.arena
-        if self.native is not None:
-            serial = nthreads <= 1 or n_lanes <= 1
-            self.native.eval_batch(
-                self.p_buf, self.p_lanes, a.num_inputs,
-                0 if serial else a.num_nodes,
-                a.words, n_lanes, self.p_b_n_ops, self.p_b_ops,
-                self.p_b_src_a, self.p_b_src_b, self.p_b_dst,
-                a.num_nodes, self.p_b_out_slots, a.num_outputs,
-                a.batch_out_slots.shape[1], a.num_vectors, signed,
-                self.p_b_scratch,
-                0 if serial else a.batch_scratch.shape[1],
-                self.p_exact, self.p_b_err, a.num_vectors, nthreads,
-                stats=self.p_b_stats if stats else 0,
+        for k in range(n_lanes):
+            kernels.run_program_batch(a, k, int(a.batch_n_ops[k]))
+            kernels.decode_error_batch(
+                a, k, a.num_outputs, signed, self.exact32
             )
-        else:
-            for k in range(n_lanes):
-                kernels.run_program_batch(a, k, int(a.batch_n_ops[k]))
-                kernels.decode_error_batch(
-                    a, k, a.num_outputs, signed, self.exact32
-                )
+
+    def execute_team_stats(
+        self, n_lanes: int, signed: bool, nthreads: int
+    ) -> np.ndarray:
+        """Run + exact integer reduction of all lanes under an OpenMP team.
+
+        Native only.  One ``cgp_eval_batch`` call splits the candidates
+        across ``nthreads`` threads, each writing its private lane and
+        transpose scratch (full strides); lane ``k``'s
+        ``(sum |d|, count != 0, max |d|)`` lands in
+        ``arena.batch_stats[k]``, which is returned.  No distance row is
+        written, so nothing outside C runs while the team is up.
+        """
+        a = self.arena
+        self.native.eval_batch(
+            self.p_buf, self.p_lanes, a.num_inputs, a.num_nodes,
+            a.words, n_lanes, self.p_b_n_ops, self.p_b_ops,
+            self.p_b_src_a, self.p_b_src_b, self.p_b_dst,
+            a.num_nodes, self.p_b_out_slots, a.num_outputs,
+            a.batch_out_slots.shape[1], a.num_vectors, signed,
+            self.p_b_scratch, a.batch_scratch.shape[1],
+            self.p_exact, self.p_err, 0, nthreads,
+            stats=self.p_b_stats,
+        )
+        return a.batch_stats
 
     def execute_lane(self, lane: int, signed: bool) -> np.ndarray:
         """Run + decode-error one compiled slab lane (native only).
@@ -638,28 +632,81 @@ class _EngineEvalMixin:
         _obs.ENGINE_EVAL_NS.inc(perf_counter_ns() - t0)
         return result
 
+    def _lane_measure(
+        self, rt: _Runtime, n_lanes: int
+    ) -> Callable[[int, int], tuple]:
+        """Pick the brood schedule; return ``measure(lane, n_ops)``.
+
+        Native lanes run chunked and serially (see :meth:`execute_lane`)
+        unless the exact-integer fold applies and ``REPRO_OMP`` asks for
+        a team; then all lanes run in one threaded call up front.  The
+        numpy backend likewise runs the whole brood before reducing.
+        """
+        lane_area = rt.lane_area
+        signed = self.signed
+        if rt.native is None:
+            rt.execute_batch(n_lanes, signed)
+            batch_err = rt.arena.batch_err
+            finish = self._finish_measure
+
+            def measure(lane: int, n_ops: int) -> tuple:
+                return finish(batch_err[lane], lane_area(lane, n_ops))
+        elif self._reduce_kind is None:
+            execute_lane = rt.execute_lane
+            finish = self._finish_measure
+
+            def measure(lane: int, n_ops: int) -> tuple:
+                return finish(
+                    execute_lane(lane, signed), lane_area(lane, n_ops)
+                )
+        else:
+            reduce_error = self._reduce_error
+            nthreads = omp_threads() if n_lanes > 1 else 1
+            if nthreads > 1:
+                stats = rt.execute_team_stats(n_lanes, signed, nthreads)
+
+                def measure(lane: int, n_ops: int) -> tuple:
+                    return (
+                        reduce_error(*stats[lane].tolist()),
+                        lane_area(lane, n_ops),
+                    )
+            else:
+                execute_lane_stats = rt.execute_lane_stats
+
+                def measure(lane: int, n_ops: int) -> tuple:
+                    return (
+                        reduce_error(*execute_lane_stats(lane, signed)),
+                        lane_area(lane, n_ops),
+                    )
+        return measure
+
     def evaluate_batch(
         self, chromosomes: Sequence[Chromosome], threshold: float
     ) -> List[EvalResult]:
-        """Evaluate a population slice with one fused native dispatch.
+        """Evaluate a population slice through the batch ABI.
 
         Per candidate: compile into a private slab lane, look the
         signature up in the phenotype cache, and dedupe identical
         phenotypes within the batch.  Survivors then run through the
         ``cgp_eval_batch`` ABI under one of two schedules:
 
-        * threaded (``REPRO_OMP`` resolves to > 1): **one** fused call,
-          candidate loop in C under an OpenMP team, each candidate
-          writing its private lane / scratch / error row;
-        * serial: the same entry point dispatched one candidate at a
-          time (cache-blocked), every chunk reusing the same lane,
+        * serial (the default): the entry point dispatched one candidate
+          at a time (cache-blocked), every chunk reusing the same lane,
           scratch and error row so the metric reduction that follows it
-          reads cache-hot data.
+          reads cache-hot data;
+        * threaded: **one** call, candidate loop in C under an OpenMP
+          team.  Only when ``REPRO_OMP`` requests N > 1 threads *and*
+          the reduction is the exact-integer C fold (``_reduce_kind``),
+          so distances never leave C.  Float reductions (D-weighted
+          WMED, MRED, sampled, ...) always run serially: their
+          ``np.dot`` runs on OpenBLAS's thread pool, which the team's
+          spinning workers starve.
 
-        Results are bit-identical to calling :meth:`evaluate`
-        sequentially — same compiled programs, same integer kernels,
-        same float64 reduction operand order — batching only changes
-        dispatch overhead and memory locality.
+        The numpy backend runs the brood into private error rows, then
+        reduces each.  Results are bit-identical to calling
+        :meth:`evaluate` sequentially — same compiled programs, same
+        integer kernels, same float64 reduction operand order — the
+        schedule only changes dispatch overhead and memory locality.
 
         Mixed-params batches and non-engine runtimes fall back to the
         sequential path.
@@ -710,64 +757,19 @@ class _EngineEvalMixin:
         if dups:
             _obs.ENGINE_BATCH_DEDUP.inc(len(dups))
         if n_lanes:
-            nthreads = omp_threads() if rt.native is not None else 1
             self._batch_calls += 1
             self._batch_evals += n_lanes
             _obs.ENGINE_BATCH_CALLS.inc()
             _obs.ENGINE_BATCH_EVALS.inc(n_lanes)
             _obs.ENGINE_BATCH_SIZE.observe(n_lanes)
+            measure = self._lane_measure(rt, n_lanes)
             by_lane: Dict[int, tuple] = {}
-            finish = self._finish_measure
-            lane_area = rt.lane_area
             cache_put = self.cache.put
-            signed = self.signed
-            fast = rt.native is not None and self._reduce_kind is not None
-            if rt.native is not None and nthreads <= 1:
-                # Cache-blocked serial schedule: dispatch the batch ABI
-                # one candidate at a time and reduce each distance row
-                # while it is still cache-hot.  One brood otherwise
-                # streams n_lanes cold private error rows (~n x 512 KiB
-                # at width 8) through the reductions, which costs more
-                # than the dispatch the fused call saves.
-                if fast:
-                    execute_lane_stats = rt.execute_lane_stats
-                    reduce_error = self._reduce_error
-                    for i, lane, sig, n_ops in pending:
-                        measure = (
-                            reduce_error(*execute_lane_stats(lane, signed)),
-                            lane_area(lane, n_ops),
-                        )
-                        if caching:
-                            cache_put(sig, *measure)
-                        measures[i] = by_lane[lane] = measure
-                else:
-                    execute_lane = rt.execute_lane
-                    for i, lane, sig, n_ops in pending:
-                        measure = finish(
-                            execute_lane(lane, signed),
-                            lane_area(lane, n_ops),
-                        )
-                        if caching:
-                            cache_put(sig, *measure)
-                        measures[i] = by_lane[lane] = measure
-            else:
-                rt.execute_batch(n_lanes, signed, nthreads, stats=fast)
-                batch_err = rt.arena.batch_err
-                batch_stats = rt.arena.batch_stats
-                reduce_error = self._reduce_error
-                for i, lane, sig, n_ops in pending:
-                    if fast:
-                        measure = (
-                            reduce_error(*batch_stats[lane].tolist()),
-                            lane_area(lane, n_ops),
-                        )
-                    else:
-                        measure = finish(
-                            batch_err[lane], lane_area(lane, n_ops)
-                        )
-                    if caching:
-                        cache_put(sig, *measure)
-                    measures[i] = by_lane[lane] = measure
+            for i, lane, sig, n_ops in pending:
+                m = measure(lane, n_ops)
+                if caching:
+                    cache_put(sig, *m)
+                measures[i] = by_lane[lane] = m
             for i, lane in dups:
                 measures[i] = by_lane[lane]
         result_of = self._result

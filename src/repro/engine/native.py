@@ -36,15 +36,11 @@ import numpy as np
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
 #: Bump when C_SOURCE changes incompatibly (part of the .so cache key).
-_ABI_VERSION = 4
+_ABI_VERSION = 5
 
 C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #ifdef __AVX2__
 #include <immintrin.h>
@@ -553,7 +549,7 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
 {
     int32_t nt = 1;
 #ifdef _OPENMP
-    nt = nthreads > 0 ? nthreads : omp_get_max_threads();
+    nt = nthreads;
 #else
     (void)nthreads;
 #endif
@@ -593,15 +589,6 @@ int32_t cgp_omp_compiled(void)
     return 1;
 #else
     return 0;
-#endif
-}
-
-int32_t cgp_omp_max_threads(void)
-{
-#ifdef _OPENMP
-    return omp_get_max_threads();
-#else
-    return 1;
 #endif
 }
 """
@@ -732,16 +719,8 @@ class NativeLib:
         ]
         lib.cgp_omp_compiled.restype = _I32
         lib.cgp_omp_compiled.argtypes = []
-        lib.cgp_omp_max_threads.restype = _I32
-        lib.cgp_omp_max_threads.argtypes = []
         lib.cgp_init()
         self._lib = lib
-        #: Threads an ``nthreads=-1`` dispatch resolves to in C.
-        self._omp_default = (
-            int(lib.cgp_omp_max_threads())
-            if lib.cgp_omp_compiled()
-            else 1
-        )
 
     @staticmethod
     def _ptr(arr) -> int:
@@ -875,17 +854,16 @@ class NativeLib:
         """Evaluate ``n_cand`` compiled programs in one native call.
 
         Array arguments may be ndarrays or precomputed raw addresses;
-        strides are in elements.  ``nthreads`` follows the C contract:
-        1 forces the serial loop, N > 1 requests an OpenMP team of N,
-        and -1 defers to the library default.  ``lane_stride_rows`` (and
-        ``scratch_stride``) may be 0 only on the serial path, where all
-        candidates soundly reuse one lane.  A non-zero ``stats`` points
-        at an ``(n_cand, 3)`` int64 buffer receiving each candidate's
+        strides are in elements.  ``nthreads`` <= 1 runs the serial
+        loop; N > 1 requests an OpenMP team of N (serial on a build
+        without OpenMP).  ``lane_stride_rows`` (and ``scratch_stride``)
+        may be 0 only on the serial path, where all candidates soundly
+        reuse one lane.  A non-zero ``stats`` points at an
+        ``(n_cand, 3)`` int64 buffer receiving each candidate's
         ``(sum |d|, nonzero count, max |d|)``; the err rows then stay
         untouched (exact-reduction fast path, see the C comments).
         """
-        effective = self._omp_default if nthreads < 0 else nthreads
-        if effective > 1 and n_cand > 1:
+        if nthreads > 1 and n_cand > 1:
             _mark_omp_team_used()
         self._lib.cgp_eval_batch(
             self._ptr(inputs), self._ptr(lanes), num_inputs,
@@ -901,9 +879,6 @@ class NativeLib:
     def omp_compiled(self) -> bool:
         """Whether the loaded .so was built with ``-fopenmp``."""
         return bool(self._lib.cgp_omp_compiled())
-
-    def omp_max_threads(self) -> int:
-        return int(self._lib.cgp_omp_max_threads())
 
 
 _lock = threading.Lock()
@@ -955,32 +930,34 @@ def _mark_omp_team_used() -> None:
 def omp_threads() -> int:
     """Effective thread request for batched native dispatch.
 
-    Resolves the ``REPRO_OMP`` environment knob against the loaded
-    library's capabilities:
+    Resolves the ``REPRO_OMP`` environment knob:
 
-    - ``0`` / ``off`` / ``false`` / ``no``: force the serial loop (1).
-    - a positive integer ``N``: request exactly ``N`` threads.
-    - unset / ``auto`` / ``on``: the OpenMP library default
-      (``omp_get_max_threads`` of the loaded .so).
+    - unset / ``auto`` / ``on`` / ``0`` / ``off`` / ``1``: the serial
+      schedule (1).  Serial is the default because the team loses
+      wherever the brood's distance rows are reduced in numpy: the
+      float reduction's ``np.dot`` runs on OpenBLAS's own thread pool,
+      and libgomp's workers, spinning between parallel regions, contend
+      with it for the cores.
+    - a positive integer ``N`` > 1: request an OpenMP team of ``N``.
+      :meth:`~repro.engine.evaluator.CompiledObjective.evaluate_batch`
+      uses it only where the reduction is the exact-integer C fold, so
+      distances never leave C and BLAS never runs.
 
-    Always returns a concrete count (>= 1) so callers can pick buffer
-    strides up front; 1 whenever the .so lacks OpenMP or this process
-    is a forked child of one that already ran a team (see
-    ``_omp_team_pid``).  The serial and threaded paths are bit-identical
-    by construction, so this only ever affects wall-clock.
+    Always returns a concrete count (>= 1); 1 whenever the .so lacks
+    OpenMP or this process is a forked child of one that already ran a
+    team (see ``_omp_team_pid``).  The default never loads the native
+    library.  The serial and threaded paths are bit-identical by
+    construction, so this only ever affects wall-clock.
     """
-    raw = os.environ.get("REPRO_OMP", "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
+    try:
+        n = int(os.environ.get("REPRO_OMP", "").strip())
+    except ValueError:
+        return 1
+    if n <= 1:
         return 1
     lib = native_lib()
     if lib is None or not lib.omp_compiled():
         return 1
     if _omp_team_pid is not None and _omp_team_pid != os.getpid():
         return 1
-    if raw in ("", "auto", "on"):
-        return lib._omp_default
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    return n

@@ -1,6 +1,6 @@
 """Synthetic grayscale test images.
 
-Stands in for the paper's 25-image PSNR evaluation set (see DESIGN.md,
+Stands in for the paper's 25-image PSNR evaluation set (see README.md,
 "Substitutions"): the Gaussian-filter experiment only needs a pool of
 smooth-ish 8-bit images with varied content, which these generators
 provide deterministically from a seed.

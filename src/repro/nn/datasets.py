@@ -1,6 +1,6 @@
 """Synthetic digit-classification datasets.
 
-Offline stand-ins for MNIST and SVHN (see DESIGN.md, "Substitutions"):
+Offline stand-ins for MNIST and SVHN (see README.md, "Substitutions"):
 
 * :func:`mnist_like` — 28x28 grayscale, clean bright digit on a dark
   background with mild jitter and noise (MNIST's regime);

@@ -7,7 +7,7 @@ switching energies between cell types are realistic, which is all the
 experiments need — the CGP loop only consumes *relative* cost, and every
 paper figure reports reductions relative to the exact circuit.
 
-See DESIGN.md ("Substitutions") for why this preserves the paper's
+See README.md ("Substitutions") for why this preserves the paper's
 conclusions.
 """
 

@@ -85,6 +85,24 @@ def test_checker_catches_drift(checker, tmp_path):
     checker.check_json("{not json}", "x.md:1", errors)
     assert any("not valid JSON" in e for e in errors)
 
+    # A reference to a repository document that does not exist.
+    errors = []
+    checked = checker.check_md_refs(
+        '"""See NO_SUCH_DOC.md ("Substitutions") and docs/gone.md."""\n',
+        str(tmp_path / "module.py"), errors,
+    )
+    assert checked == 2
+    assert len(errors) == 2 and all("does not exist" in e for e in errors)
+
+    # Existing documents resolve from the root, the file's directory
+    # or docs/; lower-case output names (catalog.md) are not documents.
+    errors = []
+    checker.check_md_refs(
+        "README.md, docs/api.md, [link](serving.md), writes catalog.md\n",
+        os.path.join(REPO, "docs", "x.md"), errors,
+    )
+    assert errors == []
+
     # Multi-line continuation + env prefix + placeholder parse cleanly.
     errors = []
     checker.check_bash(

@@ -6,12 +6,14 @@ integer kernels, same reductions — whatever the component, metric,
 backend, or brood composition (duplicates, cache hits).  On top of
 that sit the batch-specific behaviors: within-batch phenotype dedupe,
 the eval-cache lookup that prevents recompiled cache-miss storms, the
-single-owner arena guard, the ``REPRO_OMP`` knob, and the native
-exact-integer reduction fast path.
+single-owner arena guard, the ``REPRO_OMP`` knob (serial by default;
+a requested team runs only on the exact-integer reduction), and the
+native exact-integer reduction fast path.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -26,10 +28,16 @@ from repro.engine import (
     CompiledObjective,
     native_available,
 )
-from repro.engine.native import omp_threads
-from repro.errors.distributions import discretized_half_normal, uniform
+from repro.engine import native
+from repro.engine.native import native_lib, omp_threads
+from repro.errors.distributions import (
+    discretized_half_normal,
+    paper_d2,
+    uniform,
+)
 
 BACKENDS = ["numpy"] + (["native"] if native_available() else [])
+OMP_BUILD = native_available() and native_lib().omp_compiled()
 METRICS = ("wmed", "med", "mred", "error-rate", "worst-case")
 
 
@@ -171,15 +179,80 @@ def test_repro_omp_off_forces_serial_and_identical_results(monkeypatch):
 
 
 def test_omp_threads_always_concrete(monkeypatch):
-    for raw, expect_one in (("0", True), ("off", True), ("no", True),
-                            ("false", True), ("1", True)):
+    # Unset, auto and on all mean the serial schedule: a team is opt-in.
+    for raw in ("0", "off", "no", "false", "1", "-3", "junk",
+                "auto", "on", "AUTO"):
         monkeypatch.setenv("REPRO_OMP", raw)
-        n = omp_threads()
-        assert n >= 1
-        if expect_one:
-            assert n == 1
+        assert omp_threads() == 1
     monkeypatch.delenv("REPRO_OMP")
-    assert omp_threads() >= 1  # auto resolves to a concrete count
+    assert omp_threads() == 1
+
+
+@pytest.mark.skipif(not OMP_BUILD, reason="native OpenMP build required")
+def test_repro_omp_n_requests_a_team(monkeypatch):
+    monkeypatch.setattr(native, "_omp_team_pid", None)
+    monkeypatch.setenv("REPRO_OMP", "2")
+    assert omp_threads() == 2
+
+
+def _spy_team_starts(monkeypatch) -> list:
+    """Record every native dispatch that starts an OpenMP team."""
+    starts = []
+    mark = native._mark_omp_team_used
+
+    def spy():
+        starts.append(os.getpid())
+        mark()
+
+    monkeypatch.setattr(native, "_mark_omp_team_used", spy)
+    return starts
+
+
+@pytest.mark.skipif(not OMP_BUILD, reason="native OpenMP build required")
+def test_team_never_runs_on_float_reduce(monkeypatch):
+    # D2-weighted WMED reduces through np.dot (BLAS): even with a team
+    # requested, the brood takes the chunked serial schedule.
+    monkeypatch.setattr(native, "_omp_team_pid", None)
+    monkeypatch.setenv("REPRO_OMP", "2")
+    objective = component_objective("multiplier", 4, paper_d2(4))
+    brood = _brood("multiplier", 4, 8, seed=5)
+    batch_obj = CompiledObjective(objective, backend="native")
+    seq_obj = CompiledObjective(objective, backend="native")
+    assert batch_obj.stats()["fast_reduce"] is None
+    batched = batch_obj.evaluate_batch(brood, 0.05)
+    assert native._omp_team_pid is None
+    assert batched == [seq_obj.evaluate(c, 0.05) for c in brood]
+
+
+@pytest.mark.skipif(not OMP_BUILD, reason="native OpenMP build required")
+def test_team_runs_on_exact_reduce_when_requested(monkeypatch):
+    starts = _spy_team_starts(monkeypatch)
+    monkeypatch.setenv("REPRO_OMP", "2")
+    brood = _brood("multiplier", 4, 8, seed=5)
+    batch_obj = _objective("multiplier", 4, "wmed", "native")
+    seq_obj = _objective("multiplier", 4, "wmed", "native")
+    assert batch_obj.stats()["fast_reduce"] == "wmed"
+    batched = batch_obj.evaluate_batch(brood, 0.05)
+    assert starts == [os.getpid()]
+    assert native._omp_team_pid == os.getpid()
+    assert batched == [seq_obj.evaluate(c, 0.05) for c in brood]
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend required")
+def test_default_evolve_starts_no_team(monkeypatch):
+    # Guards the serial default: an exact-reduce evolve (the one path a
+    # team may take) under default settings never dispatches threaded.
+    monkeypatch.setattr(native, "_omp_team_pid", None)
+    monkeypatch.delenv("REPRO_OMP", raising=False)
+    starts = _spy_team_starts(monkeypatch)
+    eng = CompiledMultiplierFitness(4, uniform(4), backend="native")
+    evolve(
+        _seed_chromosome("multiplier", 4), eng, 0.01,
+        EvolutionConfig(generations=50), rng=np.random.default_rng(3),
+    )
+    assert eng.stats()["batch"]["calls"] > 0
+    assert starts == []
+    assert native._omp_team_pid is None
 
 
 # ----------------------------------------------------------------------
