@@ -16,7 +16,10 @@ Measures, for one operand width:
   under both evaluators with the same RNG seed, asserting the
   ``(wmed, area)`` trajectories are identical (the engine must change
   throughput, never results) and recording the phenotype-cache hit
-  rate of the run;
+  rate of the run.  Two legs: uniform weights (the exact-integer
+  reduction) and the paper's D2 weights (the fused D-weighted WMED
+  reduction with its early exit), the latter also timed on the numpy
+  backend;
 * **sampled wide-operand evolution** — a width-16 multiplier evolved
   under the Monte-Carlo objective (``--eval sampled`` on the CLI): the
   exhaustive space would need 2**32 vectors, so this measures the
@@ -62,7 +65,7 @@ from repro.engine import (  # noqa: E402
     CompiledMultiplierFitness,
     native_available,
 )
-from repro.errors.distributions import uniform  # noqa: E402
+from repro.errors.distributions import paper_d2, uniform  # noqa: E402
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_engine.json"
@@ -197,19 +200,32 @@ def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
     }
 
 
-def bench_evolve(width: int, generations: int, seed: int = 7) -> dict:
+def bench_evolve(
+    width: int, generations: int, seed: int = 7, dist=None,
+    numpy_leg: bool = False,
+) -> dict:
+    """Interpreted vs engine ``evolve()`` under ``dist`` (uniform default).
+
+    With ``numpy_leg`` the same run is also timed on the engine's numpy
+    backend, and its trajectory joins the identity check.
+    """
     net = build_array_multiplier(width)
     params = params_for_netlist(net, extra_columns=8)
     seed_chrom = netlist_to_chromosome(net, params)
-    dist = uniform(width, signed=False)
+    dist = dist or uniform(width, signed=False)
     cfg = EvolutionConfig(generations=generations, history_every=1)
     threshold = 0.01
 
-    runs = {}
-    for name, evaluator in (
+    evaluators = [
         ("baseline", MultiplierFitness(width, dist)),
         ("engine", CompiledMultiplierFitness(width, dist)),
-    ):
+    ]
+    if numpy_leg:
+        evaluators.append(
+            ("numpy", CompiledMultiplierFitness(width, dist, backend="numpy"))
+        )
+    runs = {}
+    for name, evaluator in evaluators:
         t0 = time.perf_counter()
         result = evolve(
             seed_chrom, evaluator, threshold, config=cfg,
@@ -220,17 +236,26 @@ def bench_evolve(width: int, generations: int, seed: int = 7) -> dict:
 
     base_res, base_s, _ = runs["baseline"]
     eng_res, eng_s, eng_eval = runs["engine"]
-    identical = (
-        base_res.history == eng_res.history
-        and base_res.best_eval == eng_res.best_eval
-        and np.array_equal(base_res.best.genes, eng_res.best.genes)
+    identical = all(
+        base_res.history == res.history
+        and base_res.best_eval == res.best_eval
+        and np.array_equal(base_res.best.genes, res.best.genes)
+        for res, _, _ in runs.values()
     )
     cache = eng_eval.stats()["cache"]
     lookups = cache["hits"] + cache["misses"]
     # Thin the archived trajectory to <= 50 points.
     step = max(1, len(eng_res.history) // 50)
+    extra = {}
+    if numpy_leg:
+        np_res, np_s, _ = runs["numpy"]
+        extra = {
+            "numpy_engine_s": round(np_s, 3),
+            "numpy_engine_evals_per_s": round(np_res.evaluations / np_s, 1),
+        }
     return {
         "width": width,
+        "distribution": dist.name,
         "generations": generations,
         "seed": seed,
         "threshold": threshold,
@@ -242,6 +267,7 @@ def bench_evolve(width: int, generations: int, seed: int = 7) -> dict:
         "evaluations": eng_res.evaluations,
         "baseline_evals_per_s": round(base_res.evaluations / base_s, 1),
         "engine_evals_per_s": round(eng_res.evaluations / eng_s, 1),
+        **extra,
         "trajectories_identical": identical,
         "final_wmed": eng_res.best_eval.wmed,
         "final_area": eng_res.best_eval.area,
@@ -380,6 +406,19 @@ def main(argv=None) -> int:
         f" | cache hit rate {evo['cache_hit_rate']}"
         f" | trajectories identical: {evo['trajectories_identical']}"
     )
+    evo_d2 = bench_evolve(
+        args.width, args.generations, dist=paper_d2(args.width),
+        numpy_leg=True,
+    )
+    print(
+        f"evolve D2 {evo_d2['generations']} gens:"
+        f" baseline {evo_d2['baseline_evals_per_s']} evals/s"
+        f" | engine {evo_d2['engine_evals_per_s']} evals/s"
+        f" ({evo_d2['speedup']}x)"
+        f" | numpy backend {evo_d2['numpy_engine_evals_per_s']} evals/s"
+        f" | early exits {evo_d2['engine_stats']['batch']['early_exit']}"
+        f" | trajectories identical: {evo_d2['trajectories_identical']}"
+    )
 
     sampled = bench_sampled_evolve(
         16, args.sampled_generations,
@@ -409,6 +448,7 @@ def main(argv=None) -> int:
         "single_eval": single,
         "brood_batch": brood,
         "evolve": evo,
+        "evolve_d2": evo_d2,
         "sampled_evolve": sampled,
     }
     out = os.path.abspath(args.out)
@@ -420,6 +460,7 @@ def main(argv=None) -> int:
         not single["bit_identical"]
         or not brood["bit_identical"]
         or not evo["trajectories_identical"]
+        or not evo_d2["trajectories_identical"]
     ):
         print("FAIL: engine results diverge from the reference evaluator")
         return 1

@@ -30,9 +30,11 @@ out over *processes/threads* here (one evaluator per worker — arenas
 are single-owner), while ``REPRO_OMP`` can opt in to an *intra-brood*
 OpenMP team inside one native dispatch.  The engine is serial by
 default and runs a requested team only on exact-integer reductions:
-on float reductions the team's spinning workers contend with
-OpenBLAS's ``np.dot`` pool for the cores.  When fanning out sweeps,
-leave ``REPRO_OMP`` unset so the levels don't oversubscribe cores.
+on the float reductions left in numpy (MRED, non-uniform error-rate,
+sampled) the team's spinning workers contend with OpenBLAS's
+``np.dot`` pool for the cores, and D-weighted WMED runs as one serial
+fused call per brood.  When fanning out sweeps, leave ``REPRO_OMP``
+unset so the levels don't oversubscribe cores.
 """
 
 from __future__ import annotations

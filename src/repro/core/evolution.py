@@ -16,7 +16,11 @@ search semantics:
   evaluator's ``evaluate_batch`` when it provides one (the compiled
   engine of :mod:`repro.engine` does, with phenotype caching), else
   sequentially.  Mutation draws happen before any evaluation, so the RNG
-  stream, and therefore the search trajectory, is identical either way.
+  stream, and therefore the search trajectory, is identical either way;
+* while the parent is feasible, the batch may stop offspring that
+  provably miss the error target part-way (``early_exit``).  Such an
+  offspring can be neither the selected child over a feasible one nor
+  accepted over the parent, so the trajectory is unchanged.
 """
 
 from __future__ import annotations
@@ -161,7 +165,13 @@ def _evolve_loop(
                 pending.append(child)
         if pending:
             if batch_eval is not None:
-                results = batch_eval(pending, threshold)
+                # With a feasible parent, an infeasible child is never
+                # accepted, so its exact error is not needed; with an
+                # infeasible parent the error tie-break decides, so
+                # every child is evaluated exactly.
+                results = batch_eval(
+                    pending, threshold, early_exit=parent_eval.feasible()
+                )
             else:
                 results = [evaluator.evaluate(c, threshold) for c in pending]
             evaluations += len(pending)

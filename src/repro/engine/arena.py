@@ -109,6 +109,8 @@ class BufferArena:
         self.batch_scratch: Optional[np.ndarray] = None
         self.batch_err: Optional[np.ndarray] = None
         self.batch_stats: Optional[np.ndarray] = None
+        self.batch_wsum: Optional[np.ndarray] = None
+        self.batch_exited: Optional[np.ndarray] = None
         self._batch_rows: List[List[np.ndarray]] = []
 
     # ------------------------------------------------------------------
@@ -157,6 +159,10 @@ class BufferArena:
         # Per-candidate (sum |d|, count != 0, max |d|) for the native
         # exact-reduction path; rows stay untouched on the err path.
         self.batch_stats = np.zeros((n_cand, 3), dtype=np.int64)
+        # Per-candidate D-weighted distance sum and early-exit flag for
+        # the native fused WMED path.
+        self.batch_wsum = np.zeros(n_cand, dtype=np.float64)
+        self.batch_exited = np.zeros(n_cand, dtype=np.int32)
         # Slot-indexed row views per candidate for the numpy backend:
         # rows[s] is stimulus row s for s < ni, lane row s - ni above.
         self._batch_rows = [

@@ -19,8 +19,14 @@ Results are bit-identical to the interpreted objective: all simulation
 and decode arithmetic is integer-exact, both paths produce the same
 ``float64`` per-vector distance vector, and the metric reduction is the
 same code (:meth:`ErrorMetric.from_distances`) over the same operand
-order.  The cache key folds in the objective's identity (reference,
-weights, metric, signedness), so caches never alias across objectives.
+order.  Two native reductions skip the distance vector and stay
+bit-equal by construction: the exact-integer fold (see
+``_init_engine``) and the fused D-weighted WMED sum, which runs the
+fixed operation order of :func:`~repro.errors.metrics.weighted_sum`
+inside the C tile loop and may stop offspring that provably miss the
+target early (see :meth:`_EngineEvalMixin.evaluate_batch`).  The
+cache key folds in the objective's identity (reference, weights,
+metric, signedness), so caches never alias across objectives.
 Evaluators are not thread-safe (each owns one arena); use one instance
 per worker.
 
@@ -33,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 from time import perf_counter_ns
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +80,7 @@ class _Runtime:
         native: Optional[NativeLib],
         salt_extra: bytes = b"",
         exact32: Optional[np.ndarray] = None,
+        weights: Optional[np.ndarray] = None,
     ) -> None:
         self.params = params
         fn2op = function_opcode_table(params.functions)  # may raise KeyError
@@ -140,6 +147,14 @@ class _Runtime:
             self.p_exact = (
                 exact32.ctypes.data if exact32 is not None else 0
             )
+            # Fused D-weighted WMED (set only for objectives that take
+            # it): the weight vector, plus the single-path candidate's
+            # op count and (sum, exit flag) outputs.
+            self.weights = weights
+            self.p_weights = weights.ctypes.data if weights is not None else 0
+            self.n_ops1 = np.zeros(1, dtype=np.int32)
+            self.wsum1 = np.zeros(1, dtype=np.float64)
+            self.exited1 = np.zeros(1, dtype=np.int32)
 
     def compile(self, genes: np.ndarray) -> int:
         """Lower ``genes`` into the arena slabs; return ``n_ops``."""
@@ -186,6 +201,26 @@ class _Runtime:
             return a.err
         return kernels.decode_error(a, a.num_outputs, signed, exact32)
 
+    def wmed_sum(self, n_ops: int, signed: bool) -> float:
+        """Run + fused D-weighted distance sum of the single-path program.
+
+        Native only.  The program compiled into the arena slabs runs
+        through the same ``cgp_eval_batch`` fused loop as the brood path
+        (one candidate, the contiguous arena as its lane, no early
+        exit), so single and batched evaluation give the same bits.
+        """
+        a = self.arena
+        self.n_ops1[0] = n_ops
+        self.native.eval_batch(
+            self.p_buf, self.p_buf + a.num_inputs * a.words * 8,
+            a.num_inputs, 0, a.words, 1, self.n_ops1, self.p_ops,
+            self.p_src_a, self.p_src_b, self.p_dst, 0, self.p_out_slots,
+            a.num_outputs, 0, a.num_vectors, signed,
+            self.p_decode_scratch, 0, self.p_exact, self.p_err, 0, 1,
+            weights=self.p_weights, wsum=self.wsum1, exited=self.exited1,
+        )
+        return float(self.wsum1[0])
+
     def reduce_stats(self, signed: bool) -> tuple:
         """Decode + exact integer reduction of the single-path outputs.
 
@@ -227,6 +262,8 @@ class _Runtime:
             self.p_b_n_ops = a.batch_n_ops.ctypes.data
             self.p_b_scratch = a.batch_scratch.ctypes.data
             self.p_b_stats = a.batch_stats.ctypes.data
+            self.p_b_wsum = a.batch_wsum.ctypes.data
+            self.p_b_exited = a.batch_exited.ctypes.data
             # Fully precomposed cgp_compile argument tails, one per slab
             # lane: compile_into_lane then costs one ctypes call with no
             # per-candidate pointer arithmetic or attribute traffic.
@@ -273,7 +310,9 @@ class _Runtime:
                     ),
                     (
                         self.p_b_scratch, 0, self.p_exact, self.p_err,
-                        a.num_vectors, self.p_b_stats, 1,
+                        a.num_vectors, self.p_b_stats,
+                        0, 1.0, 0.0, 0, 0,      # no fused weighted sum
+                        1,
                     ),
                 )
                 for (n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p)
@@ -357,6 +396,35 @@ class _Runtime:
             stats=self.p_b_stats,
         )
         return a.batch_stats
+
+    def execute_wmed(
+        self, n_lanes: int, signed: bool, norm: float, thr: float
+    ) -> tuple:
+        """Run + fused D-weighted distance sum of all lanes (native only).
+
+        One ``cgp_eval_batch`` call for the whole brood, serial, every
+        candidate reusing one scratch lane (stride 0): the weighted sum
+        folds into 16 lane accumulators tile by tile, so no distance row
+        is written and nothing needs to stay cache-hot between
+        candidates.  A candidate stops early once a non-final tile shows
+        ``partial / norm > thr`` (``thr = inf`` never exits).  Returns
+        ``(sums, exited)``, two lists of ``n_lanes`` entries; an exited
+        lane's sum is the partial one, a lower bound.
+        """
+        a = self.arena
+        self.native.eval_batch(
+            self.p_buf, self.p_lanes, a.num_inputs, 0, a.words, n_lanes,
+            self.p_b_n_ops, self.p_b_ops, self.p_b_src_a, self.p_b_src_b,
+            self.p_b_dst, a.num_nodes, self.p_b_out_slots, a.num_outputs,
+            a.batch_out_slots.shape[1], a.num_vectors, signed,
+            self.p_b_scratch, 0, self.p_exact, self.p_err, 0, 1,
+            weights=self.p_weights, norm=norm, thr=thr,
+            wsum=self.p_b_wsum, exited=self.p_b_exited,
+        )
+        return (
+            a.batch_wsum[:n_lanes].tolist(),
+            a.batch_exited[:n_lanes].tolist(),
+        )
 
     def execute_lane(self, lane: int, signed: bool) -> np.ndarray:
         """Run + decode-error one compiled slab lane (native only).
@@ -455,9 +523,10 @@ class _EngineEvalMixin:
         #
         # * wmed / error-rate need every weight equal to one power of
         #   two w0 with unit total mass (the uniform distribution).
-        #   Then every product w0*x and every partial sum in
-        #   np.dot(w, err) is an exactly-representable scaled integer,
-        #   making the dot order-independent and equal to w0 * sum.
+        #   Then every product w0*x and every partial sum — of
+        #   weighted_sum(w, err) for wmed, of np.dot(w, err != 0) for
+        #   error-rate — is an exactly-representable scaled integer,
+        #   making the sum order-independent and equal to w0 * sum.
         # * med only needs the integer sum to be exact: err.mean() is
         #   fl(T / N) and Python's T / N rounds identically.
         # * worst-case is always eligible (a single int-to-float cast).
@@ -490,6 +559,22 @@ class _EngineEvalMixin:
             # per-sample) reductions of it, which the integer triple
             # cannot reconstruct.
             self._reduce_kind = None
+        # Fused D-weighted WMED: with non-uniform weights the native
+        # backend folds wmed's weighted_sum into the C tile loop (same
+        # operation order, so the same bits) instead of materializing
+        # the distance row.  Its early exit is sound only while every
+        # product is non-negative, i.e. every weight is >= 0.
+        self._fused_wmed = (
+            native is not None
+            and name == "wmed"
+            and self._reduce_kind is None
+            and not sample_salt
+        )
+        self._exit_ok = bool(np.all(w >= 0))
+        self._weights64 = (
+            np.ascontiguousarray(w, dtype=np.float64)
+            if self._fused_wmed else None
+        )
         self._w0 = w0
         self.cache = EvalCache(cache_entries)
         #: Within-batch phenotype dedup count (same sig, same brood).
@@ -498,6 +583,8 @@ class _EngineEvalMixin:
         self._batch_calls = 0
         #: Candidates actually executed via batch dispatch.
         self._batch_evals = 0
+        #: Batch candidates stopped early as provably infeasible.
+        self._batch_early_exit = 0
         _obs.ENGINE_BACKEND.labels(self.backend).set(1)
 
     @property
@@ -519,6 +606,7 @@ class _EngineEvalMixin:
                     self._native,
                     salt_extra=self._objective_salt,
                     exact32=self._exact32,
+                    weights=self._weights64,
                 )
             except (KeyError, ValueError):
                 # A gate function without an engine opcode, or a shape
@@ -593,14 +681,19 @@ class _EngineEvalMixin:
             cached = self.cache.get(sig)
             if cached is not None:
                 return cached
-        rt.execute(n_ops)
         area = float(rt.area_by_op[rt.arena.ops[:n_ops]].sum())
-        if rt.native is not None and self._reduce_kind is not None:
+        if self._fused_wmed:
+            measure = (
+                rt.wmed_sum(n_ops, self.signed) / self.normalizer, area
+            )
+        elif rt.native is not None and self._reduce_kind is not None:
+            rt.execute(n_ops)
             measure = (
                 self._reduce_error(*rt.reduce_stats(self.signed)),
                 area,
             )
         else:
+            rt.execute(n_ops)
             measure = self._finish_measure(
                 rt.error(self.signed, self._exact32), area
             )
@@ -633,17 +726,23 @@ class _EngineEvalMixin:
         return result
 
     def _lane_measure(
-        self, rt: _Runtime, n_lanes: int
-    ) -> Callable[[int, int], tuple]:
-        """Pick the brood schedule; return ``measure(lane, n_ops)``.
+        self, rt: _Runtime, n_lanes: int, threshold: float, early_exit: bool
+    ) -> Tuple[Callable[[int, int], tuple], Optional[List[int]]]:
+        """Pick the brood schedule; return ``(measure, exited)``.
 
-        Native lanes run chunked and serially (see :meth:`execute_lane`)
-        unless the exact-integer fold applies and ``REPRO_OMP`` asks for
-        a team; then all lanes run in one threaded call up front.  The
-        numpy backend likewise runs the whole brood before reducing.
+        ``measure(lane, n_ops)`` gives a lane's measure tuple.  Fused
+        D-weighted WMED runs the whole brood in one native call up front
+        (see :meth:`_Runtime.execute_wmed`); ``exited`` then flags the
+        lanes it stopped early (none unless ``early_exit``); on every
+        other path it is ``None``.  Other native lanes run chunked and serially (see
+        :meth:`_Runtime.execute_lane`) unless the exact-integer fold
+        applies and ``REPRO_OMP`` asks for a team; then all lanes run in
+        one threaded call up front.  The numpy backend likewise runs the
+        whole brood before reducing.
         """
         lane_area = rt.lane_area
         signed = self.signed
+        exited = None
         if rt.native is None:
             rt.execute_batch(n_lanes, signed)
             batch_err = rt.arena.batch_err
@@ -651,6 +750,13 @@ class _EngineEvalMixin:
 
             def measure(lane: int, n_ops: int) -> tuple:
                 return finish(batch_err[lane], lane_area(lane, n_ops))
+        elif self._fused_wmed:
+            exit_at = threshold if early_exit and self._exit_ok else math.inf
+            norm = self.normalizer
+            sums, exited = rt.execute_wmed(n_lanes, signed, norm, exit_at)
+
+            def measure(lane: int, n_ops: int) -> tuple:
+                return (sums[lane] / norm, lane_area(lane, n_ops))
         elif self._reduce_kind is None:
             execute_lane = rt.execute_lane
             finish = self._finish_measure
@@ -678,10 +784,13 @@ class _EngineEvalMixin:
                         reduce_error(*execute_lane_stats(lane, signed)),
                         lane_area(lane, n_ops),
                     )
-        return measure
+        return measure, exited
 
     def evaluate_batch(
-        self, chromosomes: Sequence[Chromosome], threshold: float
+        self,
+        chromosomes: Sequence[Chromosome],
+        threshold: float,
+        early_exit: bool = False,
     ) -> List[EvalResult]:
         """Evaluate a population slice through the batch ABI.
 
@@ -697,16 +806,28 @@ class _EngineEvalMixin:
         * threaded: **one** call, candidate loop in C under an OpenMP
           team.  Only when ``REPRO_OMP`` requests N > 1 threads *and*
           the reduction is the exact-integer C fold (``_reduce_kind``),
-          so distances never leave C.  Float reductions (D-weighted
-          WMED, MRED, sampled, ...) always run serially: their
-          ``np.dot`` runs on OpenBLAS's thread pool, which the team's
-          spinning workers starve.
+          so distances never leave C.  Float reductions (MRED, sampled,
+          ...) always run serially: their ``np.dot`` runs on OpenBLAS's
+          thread pool, which the team's spinning workers starve;
+        * fused D-weighted WMED (native, non-uniform weights): **one**
+          serial call in which each candidate's weighted distance sum
+          folds into the C tile loop — no distance row, no BLAS.
 
         The numpy backend runs the brood into private error rows, then
         reduces each.  Results are bit-identical to calling
         :meth:`evaluate` sequentially — same compiled programs, same
         integer kernels, same float64 reduction operand order — the
         schedule only changes dispatch overhead and memory locality.
+
+        ``early_exit=True`` lets the fused path stop a candidate after
+        any non-final tile whose partial sum already puts its error
+        above ``threshold`` (sound: the remaining terms are
+        non-negative).  Such a result has ``fitness = inf`` and a
+        ``wmed`` that is only a lower bound of the true error; it is
+        not cached.  :func:`~repro.core.evolution.evolve` asks for it
+        only while the parent is feasible, when no infeasible child can
+        be selected, so trajectories do not change.  Other paths ignore
+        the flag and evaluate exactly.
 
         Mixed-params batches and non-engine runtimes fall back to the
         sequential path.
@@ -762,12 +883,20 @@ class _EngineEvalMixin:
             _obs.ENGINE_BATCH_CALLS.inc()
             _obs.ENGINE_BATCH_EVALS.inc(n_lanes)
             _obs.ENGINE_BATCH_SIZE.observe(n_lanes)
-            measure = self._lane_measure(rt, n_lanes)
+            measure, exited = self._lane_measure(
+                rt, n_lanes, threshold, early_exit
+            )
+            if exited is not None:
+                n_exited = sum(exited)
+                if n_exited:
+                    self._batch_early_exit += n_exited
+                    _obs.ENGINE_EARLY_EXIT.inc(n_exited)
             by_lane: Dict[int, tuple] = {}
             cache_put = self.cache.put
             for i, lane, sig, n_ops in pending:
                 m = measure(lane, n_ops)
-                if caching:
+                # An early-exited lane's error is only a lower bound.
+                if caching and not (exited and exited[lane]):
                     cache_put(sig, *m)
                 measures[i] = by_lane[lane] = m
             for i, lane in dups:
@@ -795,6 +924,7 @@ class _EngineEvalMixin:
                 "calls": self._batch_calls,
                 "evals": self._batch_evals,
                 "dedup": self._batch_dedup,
+                "early_exit": self._batch_early_exit,
             },
             "omp": omp,
         }

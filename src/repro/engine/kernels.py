@@ -9,8 +9,11 @@ produce bit-identical results.  Speed comes from three things:
 * decode unpacks *all* output planes with one stacked ``unpackbits`` and
   combines them with per-byte-group ``einsum`` (a bit transpose), instead
   of one unpack + shift + or round-trip per plane;
-* the WMED reduction subtracts the precomputed exact table directly into
-  a preallocated ``float64`` buffer and finishes with one BLAS dot.
+* the error step subtracts the precomputed exact table directly into a
+  preallocated ``float64`` distance buffer, which the objective's metric
+  then reduces (WMED through the fixed-order
+  :func:`~repro.errors.metrics.weighted_sum`, the same order the native
+  backend folds into its tile loop).
 """
 
 from __future__ import annotations

@@ -10,8 +10,13 @@ and drives it through ``ctypes`` over the same
 
 Everything stays optional: if no compiler is available (or compilation
 fails, or ``REPRO_ENGINE=numpy`` is set) callers fall back to the
-bit-identical numpy backend.  All arithmetic in C is integer, so results
-match numpy exactly regardless of optimization flags.
+bit-identical numpy backend.  Simulation and decode are integer
+arithmetic, so they match numpy exactly under any optimization flags.
+The one float computation in C, the fused D-weighted WMED sum, follows
+the fixed operation order of :func:`repro.errors.metrics.weighted_sum`
+and every build adds ``-ffp-contract=off`` so the compiler cannot fuse
+its multiply and add into an FMA; it therefore matches numpy bit for
+bit too.
 
 The shared object is cached under ``$REPRO_ENGINE_CACHE`` (default
 ``~/.cache/repro-engine``) keyed by a digest of the source and compile
@@ -36,7 +41,7 @@ import numpy as np
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
 #: Bump when C_SOURCE changes incompatibly (part of the .so cache key).
-_ABI_VERSION = 5
+_ABI_VERSION = 6
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -151,40 +156,52 @@ static inline const uint64_t* src_row(const uint64_t* inputs,
     return s < ni ? inputs + (size_t)s * W : lane + (size_t)(s - ni) * W;
 }
 
-/* Tiled interpreter over one compiled program (see ENGINE_TILE_WORDS).
-   Destinations are always >= ni (primary inputs are never recycled), so
-   all stores land in the candidate's lane. */
+/* Runs every op of one compiled program over the tw-word tile starting
+   at word t.  Destinations are always >= ni (primary inputs are never
+   recycled), so all stores land in the candidate's lane. */
+static void exec_tile(const uint64_t* inputs, uint64_t* lane,
+                      int32_t ni, int32_t W, int32_t t, int32_t tw,
+                      int32_t n_ops, const int32_t* ops, const int32_t* sa,
+                      const int32_t* sb, const int32_t* dst)
+{
+    size_t t8 = (size_t)tw * 8;
+    for (int32_t i = 0; i < n_ops; ++i) {
+        const uint64_t* restrict a =
+            src_row(inputs, lane, ni, W, sa[i]) + t;
+        const uint64_t* restrict b =
+            src_row(inputs, lane, ni, W, sb[i]) + t;
+        uint64_t* restrict o = lane + (size_t)(dst[i] - ni) * W + t;
+        switch (ops[i]) {
+        case 0: memset(o, 0, t8); break;
+        case 1: memset(o, 0xFF, t8); break;
+        case 2: memcpy(o, a, t8); break;
+        case 3: for (int32_t w = 0; w < tw; ++w) o[w] = ~a[w]; break;
+        case 4: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] & b[w]; break;
+        case 5: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] | b[w]; break;
+        case 6: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] ^ b[w]; break;
+        case 7: for (int32_t w = 0; w < tw; ++w) o[w] = ~(a[w] & b[w]); break;
+        case 8: for (int32_t w = 0; w < tw; ++w) o[w] = ~(a[w] | b[w]); break;
+        case 9: for (int32_t w = 0; w < tw; ++w) o[w] = ~(a[w] ^ b[w]); break;
+        case 10: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] & ~b[w]; break;
+        case 11: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] | ~b[w]; break;
+        }
+    }
+}
+
+static inline int32_t tile_words(int32_t W, int32_t t)
+{
+    return W - t < ENGINE_TILE_WORDS ? W - t : ENGINE_TILE_WORDS;
+}
+
+/* Tiled interpreter over one compiled program (see ENGINE_TILE_WORDS). */
 static void exec_program(const uint64_t* inputs, uint64_t* lane,
                          int32_t ni, int32_t W, int32_t n_ops,
                          const int32_t* ops, const int32_t* sa,
                          const int32_t* sb, const int32_t* dst)
 {
-    for (int32_t t = 0; t < W; t += ENGINE_TILE_WORDS) {
-        int32_t tw = W - t;
-        if (tw > ENGINE_TILE_WORDS) tw = ENGINE_TILE_WORDS;
-        size_t t8 = (size_t)tw * 8;
-        for (int32_t i = 0; i < n_ops; ++i) {
-            const uint64_t* restrict a =
-                src_row(inputs, lane, ni, W, sa[i]) + t;
-            const uint64_t* restrict b =
-                src_row(inputs, lane, ni, W, sb[i]) + t;
-            uint64_t* restrict o = lane + (size_t)(dst[i] - ni) * W + t;
-            switch (ops[i]) {
-            case 0: memset(o, 0, t8); break;
-            case 1: memset(o, 0xFF, t8); break;
-            case 2: memcpy(o, a, t8); break;
-            case 3: for (int32_t w = 0; w < tw; ++w) o[w] = ~a[w]; break;
-            case 4: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] & b[w]; break;
-            case 5: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] | b[w]; break;
-            case 6: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] ^ b[w]; break;
-            case 7: for (int32_t w = 0; w < tw; ++w) o[w] = ~(a[w] & b[w]); break;
-            case 8: for (int32_t w = 0; w < tw; ++w) o[w] = ~(a[w] | b[w]); break;
-            case 9: for (int32_t w = 0; w < tw; ++w) o[w] = ~(a[w] ^ b[w]); break;
-            case 10: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] & ~b[w]; break;
-            case 11: for (int32_t w = 0; w < tw; ++w) o[w] = a[w] | ~b[w]; break;
-            }
-        }
-    }
+    for (int32_t t = 0; t < W; t += ENGINE_TILE_WORDS)
+        exec_tile(inputs, lane, ni, W, t, tile_words(W, t), n_ops,
+                  ops, sa, sb, dst);
 }
 
 /* Single-candidate entry point over one contiguous arena. */
@@ -470,6 +487,99 @@ static void decode_reduce_planes(const uint64_t* const* planes,
     stats[2] = mx;
 }
 
+/* Fixed-order D-weighted distance sum (the WMED numerator): vector v
+   adds w[v] * |exact[v] - value[v]| into lane accumulator acc[v & 15]
+   as a rounded multiply followed by a rounded add (the library is
+   built with -ffp-contract=off, so no FMA fuses the two), and
+   wsum_tree combines the 16 lanes pairwise.  This is exactly the order
+   of repro.errors.metrics.weighted_sum, the definition every other
+   evaluation path uses, so the result is the same bits everywhere and
+   independent of any BLAS thread count.  Callers pass tiles that start
+   at a multiple of 16 vectors, so v & 15 is the global lane too. */
+static double wsum_tree(const double* acc)
+{
+    double c[16];
+    memcpy(c, acc, sizeof c);
+    for (int32_t step = 1; step < 16; step <<= 1)
+        for (int32_t j = 0; j < 16; j += 2 * step)
+            c[j] += c[j + step];
+    return c[0];
+}
+
+/* n_bits <= 16 decode, as err_loop_16, folded into the lane sums. */
+static void wsum_loop_16(const uint8_t* restrict a0,
+                         const uint8_t* restrict a1, int32_t two_acc,
+                         int32_t do_sign, int32_t ext,
+                         const int32_t* restrict exact,
+                         const double* restrict w, int64_t n,
+                         double* restrict acc)
+{
+    int64_t v = 0;
+#ifdef __AVX2__
+    __m256d s[4];
+    for (int32_t k = 0; k < 4; ++k) s[k] = _mm256_loadu_pd(acc + 4 * k);
+    for (; v + 16 <= n; v += 16) {
+        for (int32_t h = 0; h < 2; ++h) {
+            int64_t u = v + 8 * h;
+            __m256i x = _mm256_cvtepu8_epi32(
+                _mm_loadl_epi64((const __m128i*)(a0 + u)));
+            if (two_acc) {
+                __m256i hi = _mm256_cvtepu8_epi32(
+                    _mm_loadl_epi64((const __m128i*)(a1 + u)));
+                x = _mm256_or_si256(x, _mm256_slli_epi32(hi, 8));
+            }
+            if (do_sign)
+                x = _mm256_srai_epi32(_mm256_slli_epi32(x, ext), ext);
+            __m256i d = _mm256_abs_epi32(_mm256_sub_epi32(
+                _mm256_loadu_si256((const __m256i*)(exact + u)), x));
+            __m256d lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(d));
+            __m256d hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(d, 1));
+            s[2 * h] = _mm256_add_pd(s[2 * h],
+                _mm256_mul_pd(_mm256_loadu_pd(w + u), lo));
+            s[2 * h + 1] = _mm256_add_pd(s[2 * h + 1],
+                _mm256_mul_pd(_mm256_loadu_pd(w + u + 4), hi));
+        }
+    }
+    for (int32_t k = 0; k < 4; ++k) _mm256_storeu_pd(acc + 4 * k, s[k]);
+#endif
+    for (; v < n; ++v) {
+        int32_t val = a0[v];
+        if (two_acc) val |= (int32_t)a1[v] << 8;
+        if (do_sign) val = (int32_t)((uint32_t)val << ext) >> ext;
+        int32_t d = exact[v] - val;
+        acc[v & 15] += w[v] * (double)(d < 0 ? -d : d);
+    }
+}
+
+/* Weighted-sum twin of decode_err_planes over n vectors. */
+static void decode_wsum_planes(const uint64_t* const* planes,
+                               int32_t n_bits, int64_t n, int32_t do_sign,
+                               uint64_t* scratch, const int32_t* exact,
+                               const double* w, double* restrict acc)
+{
+    int64_t ngroups = transpose_planes(planes, n_bits, n, scratch);
+    int32_t n_acc = (n_bits + 7) >> 3;
+    const uint8_t* restrict a0 = (const uint8_t*)scratch;
+    const uint8_t* restrict a1 = (const uint8_t*)(scratch + ngroups);
+    const uint8_t* a2 = (const uint8_t*)(scratch + 2 * ngroups);
+    const uint8_t* a3 = (const uint8_t*)(scratch + 3 * ngroups);
+    if (n_bits <= 16) {
+        wsum_loop_16(a0, a1, n_acc > 1, do_sign && n_bits > 0,
+                     32 - n_bits, exact, w, n, acc);
+        return;
+    }
+    int32_t half = (do_sign && n_bits < 32)
+                       ? (int32_t)(1U << (n_bits - 1)) : 0;
+    for (int64_t v = 0; v < n; ++v) {
+        int32_t val = a0[v] | ((int32_t)a1[v] << 8);
+        if (n_acc > 2) val |= (int32_t)a2[v] << 16;
+        if (n_acc > 3) val |= (int32_t)a3[v] << 24;
+        if (do_sign && val >= half) val -= half << 1;
+        int64_t d = (int64_t)exact[v] - (int64_t)val;
+        acc[v & 15] += w[v] * (double)(d < 0 ? -d : d);
+    }
+}
+
 void cgp_decode_err(const uint64_t* arena, int32_t W,
                     const int32_t* out_slots, int32_t n_bits,
                     int64_t num_vectors, int32_t do_sign, uint64_t* scratch,
@@ -495,46 +605,115 @@ void cgp_decode_reduce(const uint64_t* arena, int32_t W,
                          exact, stats);
 }
 
+/* The arguments of one cgp_eval_batch call: candidate c's rows sit at
+   c * stride in each per-candidate array. */
+typedef struct {
+    const uint64_t* inputs;
+    uint64_t* lanes;
+    int32_t ni, W;
+    int64_t lane_stride;          /* in uint64 words */
+    const int32_t* n_ops;
+    const int32_t *ops, *sa, *sb, *dst;
+    int64_t prog_stride;
+    const int32_t* out_slots;
+    int32_t n_bits;
+    int64_t out_stride, num_vectors;
+    int32_t do_sign;
+    uint64_t* scratch;
+    int64_t scratch_stride;
+    const int32_t* exact;
+    double* err;
+    int64_t err_stride;
+    int64_t* stats;
+    const double* weights;
+    double norm, thr;
+    double* wsum;
+    int32_t* exited;
+} batch_t;
+
+/* Fused D-weighted WMED of candidate c: per tile, run the program,
+   transpose that tile's output planes and fold its weighted distances
+   into the 16 lane sums, so no distance row is ever written.  After
+   any non-final tile, a candidate whose partial sum already shows
+   partial / norm > thr stops: every product is non-negative, and
+   adding a non-negative term, the pairwise tree and the division are
+   all monotone under round-to-nearest, so the final value would exceed
+   thr as well.  wsum[c] receives the sum (a lower bound when exited[c]
+   is set).  thr = +inf disables the exit. */
+static void eval_candidate_wsum(const batch_t* b, int32_t c,
+                                uint64_t* lane, uint64_t* scratch)
+{
+    const int32_t* osl = b->out_slots + c * b->out_stride;
+    int64_t po = c * b->prog_stride;
+    double acc[16] = {0};
+    int32_t exited = 0;
+    for (int32_t t = 0; t < b->W; t += ENGINE_TILE_WORDS) {
+        int32_t tw = tile_words(b->W, t);
+        exec_tile(b->inputs, lane, b->ni, b->W, t, tw, b->n_ops[c],
+                  b->ops + po, b->sa + po, b->sb + po, b->dst + po);
+        const uint64_t* planes[32];
+        for (int32_t j = 0; j < b->n_bits; ++j)
+            planes[j] = src_row(b->inputs, lane, b->ni, b->W, osl[j]) + t;
+        int64_t v0 = (int64_t)t * 64;
+        int64_t n = b->num_vectors - v0;
+        if (n > (int64_t)tw * 64) n = (int64_t)tw * 64;
+        decode_wsum_planes(planes, b->n_bits, n, b->do_sign, scratch,
+                           b->exact + v0, b->weights + v0, acc);
+        if (t + tw < b->W && wsum_tree(acc) / b->norm > b->thr) {
+            exited = 1;
+            break;
+        }
+    }
+    b->wsum[c] = wsum_tree(acc);
+    b->exited[c] = exited;
+}
+
 /* One candidate of a batch: execute its program into its lane, then
    decode + error straight from the lane (or the shared inputs, for
    outputs wired directly to a primary input).  With stats non-NULL the
    error row is never touched: the distances are folded into the
-   three-integer summary instead (see decode_reduce_planes). */
-static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
-                           int32_t ni, int32_t W, int32_t n_ops,
-                           const int32_t* ops, const int32_t* sa,
-                           const int32_t* sb, const int32_t* dst,
-                           const int32_t* osl, int32_t n_bits,
-                           int64_t num_vectors, int32_t do_sign,
-                           uint64_t* scratch, const int32_t* exact,
-                           double* err, int64_t* stats)
+   three-integer summary instead (see decode_reduce_planes); with
+   weights non-NULL they fold into the weighted sum, tile by tile. */
+static void eval_candidate(const batch_t* b, int32_t c)
 {
-    exec_program(inputs, lane, ni, W, n_ops, ops, sa, sb, dst);
+    uint64_t* lane = b->lanes + c * b->lane_stride;
+    uint64_t* scratch = b->scratch + c * b->scratch_stride;
+    if (b->weights) {
+        eval_candidate_wsum(b, c, lane, scratch);
+        return;
+    }
+    int64_t po = c * b->prog_stride;
+    const int32_t* osl = b->out_slots + c * b->out_stride;
+    exec_program(b->inputs, lane, b->ni, b->W, b->n_ops[c], b->ops + po,
+                 b->sa + po, b->sb + po, b->dst + po);
     const uint64_t* planes[32];
-    for (int32_t j = 0; j < n_bits; ++j)
-        planes[j] = src_row(inputs, lane, ni, W, osl[j]);
-    if (stats)
-        decode_reduce_planes(planes, n_bits, num_vectors, do_sign,
-                             scratch, exact, stats);
+    for (int32_t j = 0; j < b->n_bits; ++j)
+        planes[j] = src_row(b->inputs, lane, b->ni, b->W, osl[j]);
+    if (b->stats)
+        decode_reduce_planes(planes, b->n_bits, b->num_vectors, b->do_sign,
+                             scratch, b->exact, b->stats + 3 * (int64_t)c);
     else
-        decode_err_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                          exact, err);
+        decode_err_planes(planes, b->n_bits, b->num_vectors, b->do_sign,
+                          scratch, b->exact, b->err + c * b->err_stride);
 }
 
 /* Batched evaluation: one call runs n_cand compiled programs over the
-   shared packed stimulus.  Every candidate owns a program slab row and
-   an error row; lane and transpose-scratch rows are per candidate too
-   unless their stride is 0.  A compiled program writes every non-input
-   slot before reading it (slots map to inputs or earlier destinations
-   of the same program), so with stride 0 the serial loop soundly reuses
+   shared packed stimulus.  Every candidate owns a program slab row;
+   lane, transpose-scratch and error rows are per candidate too unless
+   their stride is 0.  A compiled program writes every non-input slot
+   before reading it (slots map to inputs or earlier destinations of
+   the same program), so with stride 0 the serial loop soundly reuses
    one lane for all candidates — a much smaller, cache-resident working
    set.  With OpenMP compiled in and nthreads > 1 the candidates are
    split across a thread team (callers must then pass full strides).
-   Each candidate's arithmetic is identical either way (pure integer
-   ops, no cross-candidate reads), so serial and parallel results match
+   Each candidate's arithmetic is identical either way (no
+   cross-candidate reads), so serial and parallel results match
    bit-for-bit.  Strides are in elements of the respective arrays.
-   With stats non-NULL, candidate c's distances reduce into
-   stats[3c .. 3c+2] and the err rows are never written. */
+   Three outputs, by which pointer is non-NULL:
+   - weights: the fused D-weighted sum of each candidate lands in
+     wsum[c] and its early-exit flag in exited[c] (eval_candidate_wsum);
+   - stats: candidate c's distances reduce into stats[3c .. 3c+2];
+   - otherwise: the float64 distances land in err row c. */
 void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     int32_t lane_stride_rows, int32_t W, int32_t n_cand,
                     const int32_t* n_ops_arr, const int32_t* ops,
@@ -545,8 +724,15 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     int32_t do_sign, uint64_t* scratch,
                     int64_t scratch_stride, const int32_t* exact,
                     double* err, int64_t err_stride, int64_t* stats,
-                    int32_t nthreads)
+                    const double* weights, double norm, double thr,
+                    double* wsum, int32_t* exited, int32_t nthreads)
 {
+    batch_t b = {
+        inputs, lanes, ni, W, (int64_t)lane_stride_rows * W, n_ops_arr,
+        ops, sa, sb, dst, prog_stride, out_slots, n_bits, out_stride,
+        num_vectors, do_sign, scratch, scratch_stride, exact, err,
+        err_stride, stats, weights, norm, thr, wsum, exited,
+    };
     int32_t nt = 1;
 #ifdef _OPENMP
     nt = nthreads;
@@ -557,29 +743,11 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads(nt)
         for (int32_t c = 0; c < n_cand; ++c)
-            eval_candidate(inputs,
-                           lanes + (size_t)c * lane_stride_rows * W, ni, W,
-                           n_ops_arr[c], ops + c * prog_stride,
-                           sa + c * prog_stride, sb + c * prog_stride,
-                           dst + c * prog_stride,
-                           out_slots + c * out_stride, n_bits,
-                           num_vectors, do_sign,
-                           scratch + c * scratch_stride, exact,
-                           err + c * err_stride,
-                           stats ? stats + 3 * (int64_t)c : 0);
+            eval_candidate(&b, c);
 #endif
     } else {
         for (int32_t c = 0; c < n_cand; ++c)
-            eval_candidate(inputs,
-                           lanes + (size_t)c * lane_stride_rows * W, ni, W,
-                           n_ops_arr[c], ops + c * prog_stride,
-                           sa + c * prog_stride, sb + c * prog_stride,
-                           dst + c * prog_stride,
-                           out_slots + c * out_stride, n_bits,
-                           num_vectors, do_sign,
-                           scratch + c * scratch_stride, exact,
-                           err + c * err_stride,
-                           stats ? stats + 3 * (int64_t)c : 0);
+            eval_candidate(&b, c);
     }
 }
 
@@ -595,6 +763,7 @@ int32_t cgp_omp_compiled(void)
 
 _I32 = ctypes.c_int32
 _I64 = ctypes.c_int64
+_F64 = ctypes.c_double
 _P = ctypes.c_void_p
 
 
@@ -647,13 +816,16 @@ def _build_shared_object() -> Optional[str]:
     # Prefer OpenMP-enabled builds (for the batched entry point); fall
     # back to plain builds when the toolchain lacks -fopenmp.  Either
     # way results are bit-identical — OpenMP only splits the candidate
-    # loop of cgp_eval_batch across threads.
+    # loop of cgp_eval_batch across threads.  -ffp-contract=off keeps
+    # the weighted sum's multiply and add separately rounded (GNU C may
+    # otherwise fuse them into an FMA, breaking parity with numpy).
     flag_sets = (
         ["-O3", "-march=native", "-fopenmp", "-shared", "-fPIC"],
         ["-O3", "-march=native", "-shared", "-fPIC"],
         ["-O3", "-fopenmp", "-shared", "-fPIC"],
         ["-O3", "-shared", "-fPIC"],
     )
+    flag_sets = tuple(flags + ["-ffp-contract=off"] for flags in flag_sets)
     cache = _cache_dir()
     for flags in flag_sets:
         tag = hashlib.blake2b(
@@ -715,7 +887,9 @@ class NativeLib:
             _P, _P, _P, _P, _P, _I64,            # n_ops, slabs, prog_stride
             _P, _I32, _I64,                      # out_slots, n_bits, stride
             _I64, _I32, _P, _I64,                # nvec, sign, scratch+stride
-            _P, _P, _I64, _P, _I32,              # exact, err+stride, stats, nt
+            _P, _P, _I64, _P,                    # exact, err+stride, stats
+            _P, _F64, _F64, _P, _P,              # weights, norm, thr, out
+            _I32,                                # nthreads
         ]
         lib.cgp_omp_compiled.restype = _I32
         lib.cgp_omp_compiled.argtypes = []
@@ -850,6 +1024,11 @@ class NativeLib:
         err_stride: int,
         nthreads: int,
         stats=0,
+        weights=0,
+        norm: float = 1.0,
+        thr: float = float("inf"),
+        wsum=0,
+        exited=0,
     ) -> None:
         """Evaluate ``n_cand`` compiled programs in one native call.
 
@@ -862,6 +1041,14 @@ class NativeLib:
         ``(n_cand, 3)`` int64 buffer receiving each candidate's
         ``(sum |d|, nonzero count, max |d|)``; the err rows then stay
         untouched (exact-reduction fast path, see the C comments).
+
+        A non-zero ``weights`` (float64 per vector) selects the fused
+        D-weighted path instead: candidate ``c``'s weighted distance sum
+        (:func:`repro.errors.metrics.weighted_sum` order) lands in
+        ``wsum[c]`` (float64) with no err row written, and a candidate
+        stops after any non-final tile where ``partial / norm > thr``,
+        setting ``exited[c]`` (int32) and leaving the partial sum, a
+        lower bound, in ``wsum[c]``.  ``thr = inf`` disables the exit.
         """
         if nthreads > 1 and n_cand > 1:
             _mark_omp_team_used()
@@ -873,7 +1060,8 @@ class NativeLib:
             prog_stride, self._ptr(out_slots), n_bits, out_stride,
             num_vectors, int(signed), self._ptr(scratch), scratch_stride,
             self._ptr(exact), self._ptr(err), err_stride,
-            self._ptr(stats), nthreads,
+            self._ptr(stats), self._ptr(weights), norm, thr,
+            self._ptr(wsum), self._ptr(exited), nthreads,
         )
 
     def omp_compiled(self) -> bool:
@@ -934,10 +1122,11 @@ def omp_threads() -> int:
 
     - unset / ``auto`` / ``on`` / ``0`` / ``off`` / ``1``: the serial
       schedule (1).  Serial is the default because the team loses
-      wherever the brood's distance rows are reduced in numpy: the
-      float reduction's ``np.dot`` runs on OpenBLAS's own thread pool,
-      and libgomp's workers, spinning between parallel regions, contend
-      with it for the cores.
+      wherever the brood's distance rows are reduced in numpy: MRED's
+      and non-uniform error-rate's ``np.dot`` runs on OpenBLAS's own
+      thread pool, and libgomp's workers, spinning between parallel
+      regions, contend with it for the cores.  The fused D-weighted
+      WMED brood is one serial call per brood.
     - a positive integer ``N`` > 1: request an OpenMP team of ``N``.
       :meth:`~repro.engine.evaluator.CompiledObjective.evaluate_batch`
       uses it only where the reduction is the exact-integer C fold, so

@@ -37,6 +37,7 @@ __all__ = [
     "t_critical",
     "error_distances",
     "relative_error_distances",
+    "weighted_sum",
     "mean_error_distance",
     "normalized_med",
     "wmed",
@@ -88,6 +89,39 @@ def relative_error_distances(
     return distances / np.maximum(np.abs(reference), epsilon)
 
 
+#: Lane count of :func:`weighted_sum`'s fixed summation order.
+_WSUM_LANES = 16
+
+
+def weighted_sum(weights: np.ndarray, distances: np.ndarray) -> float:
+    """``sum(weights * distances)`` in one fixed, host-independent order.
+
+    The reference definition of the WMED numerator.  Element ``v``'s
+    product (rounded) is added into lane ``v % 16``; each lane sums
+    sequentially in vector order; the 16 lane sums then combine by the
+    fixed pairwise tree ``c[j] += c[j + step]`` for step = 1, 2, 4, 8.
+    The native engine's fused tile loop computes exactly these
+    operations, so the result is the same bits on every evaluation path
+    — unlike ``np.dot``, whose BLAS summation order depends on the
+    library's thread count.
+
+    The sequential per-lane order rests on numpy reducing a C-contiguous
+    ``(n, 16)`` array over axis 0 row by row (no pairwise split);
+    ``tests/test_weighted_sum.py`` checks it against a pure-Python
+    reference.
+    """
+    prod = np.multiply(weights, distances, dtype=np.float64)
+    n = prod.size
+    body = n - n % _WSUM_LANES
+    lanes = prod[:body].reshape(-1, _WSUM_LANES).sum(axis=0)
+    lanes[: n - body] += prod[body:]
+    step = 1
+    while step < _WSUM_LANES:
+        lanes[0::2 * step] += lanes[step::2 * step]
+        step *= 2
+    return float(lanes[0])
+
+
 def mean_error_distance(
     exact: np.ndarray,
     approx: np.ndarray,
@@ -96,8 +130,10 @@ def mean_error_distance(
     """(Weighted) mean error distance in absolute output units.
 
     With ``weights`` the result is ``sum(w * |err|) / sum(w)`` — the
-    expected error distance under the weight distribution.  Without, all
-    vectors count equally (classic MED under uniform inputs).
+    expected error distance under the weight distribution, summed in the
+    fixed order of :func:`weighted_sum` like the objectives' WMED.
+    Without, all vectors count equally (classic MED under uniform
+    inputs).
     """
     dist = error_distances(exact, approx).astype(np.float64)
     if weights is None:
@@ -108,7 +144,7 @@ def mean_error_distance(
     total = weights.sum()
     if total <= 0:
         raise ValueError("weights must have positive mass")
-    return float(np.dot(weights, dist) / total)
+    return weighted_sum(weights, dist) / float(total)
 
 
 def normalized_med(
@@ -156,7 +192,7 @@ def wmed_paper(
     width = dist.width if width is None else width
     weights = vector_weights(dist, width)
     dist_abs = error_distances(exact, approx).astype(np.float64)
-    return float(np.dot(weights, dist_abs) / (1 << (2 * width)))
+    return weighted_sum(weights, dist_abs) / (1 << (2 * width))
 
 
 def mean_relative_error(
@@ -275,9 +311,8 @@ class ErrorMetric:
 
 
 def _metric_wmed(err, weights, normalizer, reference) -> float:
-    # Identical operand order to the historical MultiplierFitness.wmed
-    # (BLAS dot then scalar divide) — trajectories must stay bit-stable.
-    return float(np.dot(weights, err)) / normalizer
+    # The fixed-order sum the native engine reproduces bit for bit.
+    return weighted_sum(weights, err) / normalizer
 
 
 def _metric_med(err, weights, normalizer, reference) -> float:

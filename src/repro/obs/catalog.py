@@ -92,6 +92,9 @@ ENGINE_BATCH_EVALS = REGISTRY.counter(
 ENGINE_BATCH_DEDUP = REGISTRY.counter(
     "repro_engine_batch_dedup_total",
     "Batch candidates answered by in-brood phenotype deduplication.")
+ENGINE_EARLY_EXIT = REGISTRY.counter(
+    "repro_engine_early_exit_total",
+    "Batch candidates stopped early as provably above the error target.")
 ENGINE_BATCH_SIZE = REGISTRY.histogram(
     "repro_engine_batch_size",
     "Lanes per batched kernel dispatch.",

@@ -7,8 +7,9 @@ backend, or brood composition (duplicates, cache hits).  On top of
 that sit the batch-specific behaviors: within-batch phenotype dedupe,
 the eval-cache lookup that prevents recompiled cache-miss storms, the
 single-owner arena guard, the ``REPRO_OMP`` knob (serial by default;
-a requested team runs only on the exact-integer reduction), and the
-native exact-integer reduction fast path.
+a requested team runs only on the exact-integer reduction), the
+native exact-integer reduction fast path, and the fused D-weighted
+WMED path's early exit for offspring that provably miss the target.
 """
 
 from __future__ import annotations
@@ -22,13 +23,18 @@ import pytest
 from repro.core.components import component_objective, component_names, get_component
 from repro.core.evolution import EvolutionConfig, evolve
 from repro.core.mutation import mutate
-from repro.core.seeding import netlist_to_chromosome, params_for_netlist
+from repro.core.seeding import (
+    netlist_to_chromosome,
+    params_for_netlist,
+    random_chromosome,
+)
 from repro.engine import (
     CompiledMultiplierFitness,
     CompiledObjective,
     native_available,
 )
 from repro.engine import native
+from repro.engine.evaluator import _EngineEvalMixin, _Runtime
 from repro.engine.native import native_lib, omp_threads
 from repro.errors.distributions import (
     discretized_half_normal,
@@ -210,8 +216,8 @@ def _spy_team_starts(monkeypatch) -> list:
 
 @pytest.mark.skipif(not OMP_BUILD, reason="native OpenMP build required")
 def test_team_never_runs_on_float_reduce(monkeypatch):
-    # D2-weighted WMED reduces through np.dot (BLAS): even with a team
-    # requested, the brood takes the chunked serial schedule.
+    # D2-weighted WMED is the fused float reduce, one serial call per
+    # brood: even with a team requested, no team starts.
     monkeypatch.setattr(native, "_omp_team_pid", None)
     monkeypatch.setenv("REPRO_OMP", "2")
     objective = component_objective("multiplier", 4, paper_d2(4))
@@ -294,3 +300,115 @@ def test_reduce_stats_match_materialized_distances():
         assert obj._reduce_error(s, nz, mx) == obj.metric.from_distances(
             err, obj.weights, obj.normalizer, obj.reference
         )
+
+
+# ----------------------------------------------------------------------
+# Fused D-weighted WMED: early exit
+# ----------------------------------------------------------------------
+def _d2_brood(width, n, seed, h=12):
+    rng = np.random.default_rng(seed)
+    c = _seed_chromosome("multiplier", width)
+    brood = []
+    for _ in range(n):
+        child, _ = mutate(c, h, rng)
+        brood.append(child)
+        c = child if rng.random() < 0.5 else c
+    return brood
+
+
+def _spy_exit_flags(monkeypatch) -> list:
+    """Record the per-lane exit flags of every fused dispatch."""
+    calls = []
+    run = _Runtime.execute_wmed
+
+    def spy(self, n_lanes, signed, norm, thr):
+        sums, exited = run(self, n_lanes, signed, norm, thr)
+        calls.append(exited)
+        return sums, exited
+
+    monkeypatch.setattr(_Runtime, "execute_wmed", spy)
+    return calls
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend required")
+@pytest.mark.parametrize("threshold", [0.001, 0.01, 0.05])
+def test_early_exit_is_sound(threshold, monkeypatch):
+    flags = _spy_exit_flags(monkeypatch)
+    objective = component_objective("multiplier", 8, paper_d2(8))
+    brood = _d2_brood(8, 24, seed=int(threshold * 1e4))
+    exact = [objective.evaluate(c, threshold) for c in brood]
+    eng = CompiledObjective(objective, backend="native")
+    results = eng.evaluate_batch(brood, threshold, early_exit=True)
+    assert eng.stats()["batch"]["dedup"] == 0  # lane k is candidate k
+    (exited,) = flags
+    assert sum(exited) == eng.stats()["batch"]["early_exit"] > 0
+    for got, want, out in zip(results, exact, exited):
+        if out:
+            assert want.wmed > threshold
+            assert got.fitness == float("inf")
+            assert got.wmed <= want.wmed
+        else:
+            assert got == want
+    # Exited phenotypes were not cached: re-evaluating them is exact.
+    assert eng.cache.stats()["entries"] == len(brood) - sum(exited)
+    assert [eng.evaluate(c, threshold) for c in brood] == exact
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend required")
+def test_early_exit_off_is_exact():
+    objective = component_objective("multiplier", 8, paper_d2(8))
+    brood = _d2_brood(8, 12, seed=4)
+    eng = CompiledObjective(objective, backend="native")
+    results = eng.evaluate_batch(brood, 0.001)
+    assert results == [objective.evaluate(c, 0.001) for c in brood]
+    assert eng.stats()["batch"]["early_exit"] == 0
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend required")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_d2_evolve_with_early_exit_equals_numpy(seed):
+    dist = paper_d2(8)
+    runs = {}
+    for backend in ("native", "numpy"):
+        eng = CompiledObjective(
+            component_objective("multiplier", 8, dist), backend=backend
+        )
+        result = evolve(
+            _seed_chromosome("multiplier", 8, extra=4), eng, 0.01,
+            EvolutionConfig(generations=60, history_every=10),
+            rng=np.random.default_rng(seed),
+        )
+        runs[backend] = (result, eng)
+    (nat, nat_eng), (ref, _) = runs["native"], runs["numpy"]
+    assert nat_eng.stats()["batch"]["early_exit"] > 0
+    assert np.array_equal(nat.best.genes, ref.best.genes)
+    assert nat.best_eval == ref.best_eval
+    assert nat.evaluations == ref.evaluations
+    assert nat.history == ref.history
+
+
+def test_early_exit_requested_only_under_a_feasible_parent(monkeypatch):
+    requested = []
+    batch = _EngineEvalMixin.evaluate_batch
+
+    def spy(self, chromosomes, threshold, early_exit=False):
+        requested.append(early_exit)
+        return batch(self, chromosomes, threshold, early_exit=early_exit)
+
+    monkeypatch.setattr(_EngineEvalMixin, "evaluate_batch", spy)
+    objective = CompiledObjective(
+        component_objective("multiplier", 4, paper_d2(4))
+    )
+    # A random genome is far from exact; at threshold 0 it stays
+    # infeasible, so every brood must be evaluated exactly.
+    params = _seed_chromosome("multiplier", 4).params
+    seed = random_chromosome(params, np.random.default_rng(0))
+    result = evolve(seed, objective, 0.0, EvolutionConfig(generations=40),
+                    rng=np.random.default_rng(1))
+    assert not result.feasible
+    assert requested and not any(requested)
+    # And a feasible parent does ask for it.
+    requested.clear()
+    evolve(_seed_chromosome("multiplier", 4), objective, 0.01,
+           EvolutionConfig(generations=10), rng=np.random.default_rng(1))
+    assert requested and all(requested)

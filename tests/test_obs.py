@@ -311,6 +311,7 @@ def test_engine_stats_shape_and_registry_deltas():
         "batch_calls": obs_catalog.ENGINE_BATCH_CALLS.value,
         "batch_evals": obs_catalog.ENGINE_BATCH_EVALS.value,
         "batch_dedup": obs_catalog.ENGINE_BATCH_DEDUP.value,
+        "early_exit": obs_catalog.ENGINE_EARLY_EXIT.value,
         "cache_hits": obs_catalog.ENGINE_CACHE_HITS.value,
         "cache_misses": obs_catalog.ENGINE_CACHE_MISSES.value,
         "evals": obs_catalog.ENGINE_EVALS.value,
@@ -325,7 +326,7 @@ def test_engine_stats_shape_and_registry_deltas():
     assert set(stats) == {
         "backend", "cache", "fast_reduce", "runtimes", "batch", "omp",
     }
-    assert set(stats["batch"]) == {"calls", "evals", "dedup"}
+    assert set(stats["batch"]) == {"calls", "evals", "dedup", "early_exit"}
     assert set(stats["cache"]) == {
         "entries", "max_entries", "hits", "misses", "hit_rate",
     }
@@ -336,6 +337,8 @@ def test_engine_stats_shape_and_registry_deltas():
             == stats["batch"]["evals"])
     assert (obs_catalog.ENGINE_BATCH_DEDUP.value - before["batch_dedup"]
             == stats["batch"]["dedup"])
+    assert (obs_catalog.ENGINE_EARLY_EXIT.value - before["early_exit"]
+            == stats["batch"]["early_exit"])
     assert (obs_catalog.ENGINE_CACHE_HITS.value - before["cache_hits"]
             == stats["cache"]["hits"])
     assert (obs_catalog.ENGINE_CACHE_MISSES.value - before["cache_misses"]
