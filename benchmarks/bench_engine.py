@@ -3,15 +3,14 @@
 
 Measures, for one operand width:
 
-* **single-candidate evaluation** — the interpreted
-  ``MultiplierFitness`` path vs. the engine with caching disabled (every
-  evaluation compiles + simulates + decodes from scratch) and vs. the
-  engine's cache-hit path;
+* **single-candidate evaluation** — the interpreted multiplier
+  objective vs. the engine with caching disabled (every evaluation
+  compiles + simulates + decodes from scratch) and vs. the engine's
+  cache-hit path;
 * **brood batch dispatch** — a realistic (1 + lambda) brood evaluated
-  through ``evaluate_batch`` vs. one ``evaluate`` call per candidate,
-  serially (the default) and under an OpenMP team
-  (``REPRO_OMP=BROOD_OMP_THREADS``), asserting all paths return
-  identical results;
+  through one ``evaluate_batch`` call vs. one ``evaluate`` call (a
+  batch of one) per candidate, asserting both return identical
+  results;
 * **end-to-end evolution** — ``evolve()`` wall time and evaluations/s
   under both evaluators with the same RNG seed, asserting the
   ``(wmed, area)`` trajectories are identical (the engine must change
@@ -55,16 +54,13 @@ sys.path.insert(
 )
 
 from repro.circuits.generators import build_array_multiplier  # noqa: E402
+from repro.core.components import multiplier_objective  # noqa: E402
 from repro.core.evolution import EvolutionConfig, evolve  # noqa: E402
-from repro.core.fitness import MultiplierFitness  # noqa: E402
 from repro.core.seeding import (  # noqa: E402
     netlist_to_chromosome,
     params_for_netlist,
 )
-from repro.engine import (  # noqa: E402
-    CompiledMultiplierFitness,
-    native_available,
-)
+from repro.engine import CompiledObjective, native_available  # noqa: E402
 from repro.errors.distributions import paper_d2, uniform  # noqa: E402
 
 DEFAULT_OUT = os.path.join(
@@ -84,6 +80,10 @@ def _time_ms(fn, reps: int, rounds: int) -> float:
     return statistics.median(samples)
 
 
+def _engine(width: int, dist, **kw) -> CompiledObjective:
+    return CompiledObjective(multiplier_objective(width, dist), **kw)
+
+
 def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
     net = build_array_multiplier(width)
     params = params_for_netlist(net)
@@ -91,9 +91,9 @@ def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
     dist = uniform(width, signed=False)
     threshold = 0.01
 
-    baseline = MultiplierFitness(width, dist)
-    engine_cold = CompiledMultiplierFitness(width, dist, cache_entries=0)
-    engine_cached = CompiledMultiplierFitness(width, dist)
+    baseline = multiplier_objective(width, dist)
+    engine_cold = _engine(width, dist, cache_entries=0)
+    engine_cached = _engine(width, dist)
 
     def fresh():
         c = chrom.copy()
@@ -126,22 +126,15 @@ def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
     }
 
 
-#: OpenMP team size the brood benchmark's threaded leg requests.
-BROOD_OMP_THREADS = 2
-
-
 def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
     """Batched vs per-candidate dispatch on one realistic brood.
 
     Builds ``lam`` mutants of the exact seed (a fixed RNG, so the brood
-    is identical across runs/commits), then times: sequential
-    ``evaluate`` per candidate, ``evaluate_batch`` forced serial
-    (``REPRO_OMP=0``), and ``evaluate_batch`` with an OpenMP team of
-    :data:`BROOD_OMP_THREADS` requested.  The brood is weighted
-    uniformly, so its reduction is the exact-integer C fold: the one
-    path on which the engine runs a team.  Caching is disabled so the
-    numbers measure raw dispatch, and all paths are checked for
-    identical results.
+    is identical across runs/commits), then times ``evaluate`` per
+    candidate against one ``evaluate_batch`` call.  The brood is
+    weighted uniformly, so its reduction is the exact-integer C fold.
+    Caching is disabled so the numbers measure raw dispatch, and both
+    paths are checked for identical results.
     """
     from repro.core.mutation import mutate
 
@@ -157,8 +150,8 @@ def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
         parent, _ = mutate(parent, 5, rng)
         brood.append(parent)
 
-    seq_obj = CompiledMultiplierFitness(width, dist, cache_entries=0)
-    batch_obj = CompiledMultiplierFitness(width, dist, cache_entries=0)
+    seq_obj = _engine(width, dist, cache_entries=0)
+    batch_obj = _engine(width, dist, cache_entries=0)
 
     def run_seq():
         return [seq_obj.evaluate(c, threshold) for c in brood]
@@ -166,25 +159,9 @@ def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
     def run_batch():
         return batch_obj.evaluate_batch(brood, threshold)
 
-    omp_prev = os.environ.get("REPRO_OMP")
-
-    def set_omp(value):
-        if value is None:
-            os.environ.pop("REPRO_OMP", None)
-        else:
-            os.environ["REPRO_OMP"] = value
-
-    try:
-        seq_ms = _time_ms(run_seq, reps, rounds)
-        set_omp("0")
-        serial_ms = _time_ms(run_batch, reps, rounds)
-        serial_res = run_batch()
-        set_omp(str(BROOD_OMP_THREADS))
-        omp_ms = _time_ms(run_batch, reps, rounds)
-        omp_res = run_batch()
-    finally:
-        set_omp(omp_prev)
-    identical = run_seq() == serial_res == omp_res
+    seq_ms = _time_ms(run_seq, reps, rounds)
+    serial_ms = _time_ms(run_batch, reps, rounds)
+    identical = run_seq() == run_batch()
 
     def evals_per_s(ms):
         return round(lam / (ms / 1e3), 1)
@@ -194,7 +171,6 @@ def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
         "lam": lam,
         "sequential_evals_per_s": evals_per_s(seq_ms),
         "batch_serial_evals_per_s": evals_per_s(serial_ms),
-        "batch_omp_evals_per_s": evals_per_s(omp_ms),
         "batch_speedup_vs_sequential": round(seq_ms / serial_ms, 2),
         "bit_identical": identical,
     }
@@ -217,13 +193,11 @@ def bench_evolve(
     threshold = 0.01
 
     evaluators = [
-        ("baseline", MultiplierFitness(width, dist)),
-        ("engine", CompiledMultiplierFitness(width, dist)),
+        ("baseline", multiplier_objective(width, dist)),
+        ("engine", _engine(width, dist)),
     ]
     if numpy_leg:
-        evaluators.append(
-            ("numpy", CompiledMultiplierFitness(width, dist, backend="numpy"))
-        )
+        evaluators.append(("numpy", _engine(width, dist, backend="numpy")))
     runs = {}
     for name, evaluator in evaluators:
         t0 = time.perf_counter()
@@ -395,7 +369,6 @@ def main(argv=None) -> int:
         f"brood lam={brood['lam']}:"
         f" sequential {brood['sequential_evals_per_s']} evals/s"
         f" | batch serial {brood['batch_serial_evals_per_s']}"
-        f" | batch omp {brood['batch_omp_evals_per_s']}"
         f" | identical: {brood['bit_identical']}"
     )
     evo = bench_evolve(args.width, args.generations)
@@ -441,8 +414,6 @@ def main(argv=None) -> int:
             "generations": args.generations,
             "lam": args.lam,
             "smoke": args.smoke,
-            "repro_omp": os.environ.get("REPRO_OMP", ""),
-            "brood_omp_threads": BROOD_OMP_THREADS,
         },
         "backend": backend,
         "single_eval": single,

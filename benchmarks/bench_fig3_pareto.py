@@ -18,7 +18,7 @@ from repro.baselines import (
     build_broken_array_multiplier,
     build_truncated_multiplier,
 )
-from repro.core import MultiplierFitness, netlist_to_chromosome
+from repro.core import multiplier_objective, netlist_to_chromosome
 from repro.errors import paper_d1, paper_d2, uniform
 
 
@@ -108,7 +108,7 @@ def test_fig3_wmed_evaluation_kernel(benchmark, cs1_fronts):
     """Benchmark the inner-loop cost: one exhaustive WMED evaluation."""
     from repro.circuits.generators import build_array_multiplier
 
-    evaluator = MultiplierFitness(8, paper_d2(8))
+    evaluator = multiplier_objective(8, paper_d2(8))
     chromosome = netlist_to_chromosome(build_array_multiplier(8))
     result = benchmark(evaluator.evaluate, chromosome, 0.01)
     assert result.wmed == 0.0

@@ -21,8 +21,8 @@ from repro.analysis import format_pmf_sparkline, format_table
 from repro.circuits.generators import build_baugh_wooley_multiplier
 from repro.core import (
     EvolutionConfig,
-    MultiplierFitness,
     evolve,
+    multiplier_objective,
     netlist_to_chromosome,
     params_for_netlist,
 )
@@ -66,7 +66,7 @@ def main() -> None:
     chromosome = netlist_to_chromosome(
         seed, params_for_netlist(seed, extra_columns=20)
     )
-    evaluator = MultiplierFitness(WIDTH, dist)
+    evaluator = multiplier_objective(WIDTH, dist)
     result = evolve(
         chromosome,
         evaluator,

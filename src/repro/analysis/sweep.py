@@ -24,17 +24,10 @@ All route candidate evaluation through the compiled engine
 interpreted objective (results are bit-identical either way).  Inside
 every run, each generation's brood is evaluated through the engine's
 batched path (``CompiledObjective.evaluate_batch``: phenotype dedupe,
-cache lookup, then one ``cgp_eval_batch`` dispatch per brood).  Two
-levels of parallelism therefore exist and compose: the sweep fans runs
-out over *processes/threads* here (one evaluator per worker — arenas
-are single-owner), while ``REPRO_OMP`` can opt in to an *intra-brood*
-OpenMP team inside one native dispatch.  The engine is serial by
-default and runs a requested team only on exact-integer reductions:
-on the float reductions left in numpy (MRED, non-uniform error-rate,
-sampled) the team's spinning workers contend with OpenBLAS's
-``np.dot`` pool for the cores, and D-weighted WMED runs as one serial
-fused call per brood.  When fanning out sweeps, leave ``REPRO_OMP``
-unset so the levels don't oversubscribe cores.
+cache lookup, then one serial ``cgp_eval_batch`` schedule per brood).
+Parallelism therefore lives at one level only: the sweep fans runs out
+over *processes/threads* here (one evaluator per worker — arenas are
+single-owner), and each worker evaluates its broods on its own thread.
 """
 
 from __future__ import annotations
@@ -417,15 +410,8 @@ def make_objective(
         )
     if engine not in ("auto", "native", "numpy"):
         raise ValueError(f"unknown engine mode {engine!r}")
-    from ..engine import CompiledMultiplierFitness, CompiledObjective
+    from ..engine import CompiledObjective
 
-    if comp.name == "multiplier":
-        # Keep the legacy class identity (isinstance checks, `.exact`)
-        # that pre-objective-layer callers of make_evaluator rely on.
-        return CompiledMultiplierFitness(
-            width, design_dist, library=library, backend=engine,
-            metric=metric,
-        )
     return CompiledObjective(
         component_objective(
             comp.name, width, design_dist, metric=metric, library=library
@@ -616,8 +602,8 @@ def _front_task(
     executors.  Each task builds its own objective: engine arenas are
     single-owner (``BufferArena.assert_owner``), and process workers
     cannot share them anyway.  The objective's batched brood dispatch
-    (and its opt-in ``REPRO_OMP`` team, if any) lives entirely inside this
-    worker, so per-task results never depend on worker count.
+    runs entirely inside this worker, on its thread, so per-task
+    results never depend on worker count.
     """
     (
         seed_netlist, width, design_dist, level, eval_dists,

@@ -46,6 +46,7 @@ from ..errors.truth_tables import (
     max_product_magnitude,
     operand_values,
     operand_weights,
+    vector_weights,
 )
 from ..tech.library import TechLibrary
 from .objective import CircuitObjective, SampledObjective, SampleSpec
@@ -491,16 +492,23 @@ def multiplier_objective(
 ) -> CircuitObjective:
     """Objective for ``width``-bit multipliers (the paper's component).
 
-    Signedness follows ``dist.signed``; the normalizer is the maximum
-    exact product magnitude so thresholds keep the paper's percent
-    semantics.  With ``metric="wmed"`` this is exactly the historical
-    ``MultiplierFitness`` — bit-identical trajectories.
+    Signedness follows ``dist.signed``; the reference is the exact
+    product table, the weights are the WMED weights of ``dist`` over the
+    ``x`` operand, and the normalizer is the maximum exact product
+    magnitude so thresholds keep the paper's percent semantics.
     """
-    # The legacy class (kept as a deprecated alias) *is* the multiplier
-    # objective; constructing it here keeps one canonical code path.
-    from .fitness import MultiplierFitness
-
-    return MultiplierFitness(width, dist, library=library, metric=metric)
+    if dist.width != width:
+        raise ValueError("distribution width must match operand width")
+    return CircuitObjective(
+        num_inputs=2 * width,
+        reference=exact_product_table(width, dist.signed),
+        weights=vector_weights(dist, width),
+        signed=dist.signed,
+        normalizer=float(max_product_magnitude(width, dist.signed)),
+        metric=metric,
+        library=library,
+        component="multiplier",
+    )
 
 
 def _unsigned_objective(

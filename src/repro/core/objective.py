@@ -21,9 +21,7 @@ module is the single home of that machinery:
 * :class:`EvalResult` — the outcome record shared by all evaluators.
 
 Component-specific constructors (multiplier, adder, MAC, arbitrary
-netlist) live in :mod:`repro.core.components`; the legacy
-``MultiplierFitness`` / ``CircuitFitness`` classes are thin subclasses
-kept for backward compatibility.
+netlist) live in :mod:`repro.core.components`.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ into a compiled pipeline:
   arrays with densely renumbered slots — a canonical program that is
   byte-identical for phenotype-equivalent genotypes.
 * :mod:`repro.engine.arena` preallocates every evaluation buffer (packed
-  signal matrix, program slabs, decode scratch, error vector) once per
-  run.
+  stimulus, per-candidate program slabs, the shared scratch lane,
+  decode scratch, error row) once per run.
 * :mod:`repro.engine.native` executes programs in C (built on demand via
   the system compiler, loaded through ctypes); :mod:`repro.engine
   .kernels` is the bit-identical pure-numpy fallback with a stacked
@@ -25,22 +25,18 @@ into a compiled pipeline:
 behind the component-agnostic objective layer: it wraps *any*
 :class:`~repro.core.objective.CircuitObjective` — multiplier, adder,
 MAC, custom netlist, under any error metric — and produces bit-identical
-results, so evolved trajectories do not change.
-:class:`~repro.engine.evaluator.CompiledMultiplierFitness` remains the
-drop-in replacement for the legacy
-:class:`~repro.core.fitness.MultiplierFitness`.  Select the backend with
-the ``REPRO_ENGINE`` environment variable (``numpy`` forces the
-fallback).
+results, so evolved trajectories do not change.  Every evaluation, a
+single :meth:`~repro.engine.evaluator.CompiledObjective.evaluate`
+included, runs as a batch through the same compile, cache and dispatch
+steps.
+Select the backend with the ``REPRO_ENGINE`` environment variable
+(``numpy`` forces the fallback).
 """
 
 from .arena import BufferArena
 from .cache import EvalCache
 from .compiler import CompiledPhenotype, compile_netlist, compile_phenotype
-from .evaluator import (
-    CompiledMultiplierFitness,
-    CompiledObjective,
-    CompiledSampledObjective,
-)
+from .evaluator import CompiledObjective, CompiledSampledObjective
 from .native import native_available
 from .opcodes import OP_ARITY, OP_NAMES
 
@@ -50,7 +46,6 @@ __all__ = [
     "CompiledPhenotype",
     "compile_netlist",
     "compile_phenotype",
-    "CompiledMultiplierFitness",
     "CompiledObjective",
     "CompiledSampledObjective",
     "native_available",

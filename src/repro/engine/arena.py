@@ -1,25 +1,25 @@
 """Preallocated evaluation buffers reused across a whole search run.
 
 Candidate evaluation is called millions of times per CGP run; the arena
-owns every buffer the hot path needs — the packed signal matrix, the
-compiled-program slabs, the decode scratch and the error vector — so a
-single evaluation performs no heap allocation beyond tiny Python objects.
+owns every buffer the hot path needs — the packed stimulus, the
+compiled-program slabs, the scratch lane, the decode scratch and the
+error row — so an evaluation performs no heap allocation beyond tiny
+Python objects (and the numpy backend's decode temporaries).
 
-Layout of the signal matrix ``buf`` (``slots x words`` of ``uint64``):
-
-* rows ``0 .. num_inputs-1``: the packed stimulus, written once at
-  construction (the stimulus of an exhaustive evaluator never changes);
-* remaining rows: operation destinations, assigned by the compiler's
-  liveness allocator (so the hot region is the circuit's live width,
-  typically far smaller than its gate count, and stays cache-resident).
-
-Batched evaluation adds *per-candidate* buffers on demand
-(:meth:`BufferArena.ensure_batch`): every candidate of a brood gets a
-private scratch lane, program-slab row, transpose-scratch row and error
-row, all contiguous 2-D arrays so one native call
-(``cgp_eval_batch``) can walk them by stride.  The packed stimulus stays
-shared — slot ``s < num_inputs`` resolves into ``buf``, slot
-``s >= num_inputs`` into row ``s - num_inputs`` of the candidate's lane.
+``buf`` (``num_inputs x words`` of ``uint64``) holds the packed
+stimulus, written once at construction (the stimulus of an exhaustive
+evaluator never changes).  Every evaluation is a batch
+(:meth:`BufferArena.ensure_batch`): each candidate gets a program-slab
+row, contiguous 2-D arrays so one native call (``cgp_eval_batch``) can
+walk them by stride.  Candidates run one after another through a single
+``scratch_lane``: slot ``s < num_inputs`` resolves into ``buf``, slot
+``s >= num_inputs`` into lane row ``s - num_inputs``.  A compiled
+program writes every non-input slot before reading it, so no candidate
+ever reads another's rows, and the lane rows are assigned by the
+compiler's liveness allocator (so the hot region is the circuit's live
+width, typically far smaller than its gate count, and stays
+cache-resident).  The transpose scratch, the error row and the
+integer-statistics triple are likewise one each, reused per candidate.
 
 The arena is sized for the *worst case* (all nodes active, no slot
 reuse), so any phenotype of the associated
@@ -74,44 +74,38 @@ class BufferArena:
         self.words = int(stimulus.shape[1])
         self._owner_thread = threading.get_ident()
 
-        slots = num_inputs + num_nodes
-        self.buf = np.empty((slots, self.words), dtype=np.uint64)
-        self.buf[:num_inputs] = stimulus
-        #: Row views, prebuilt so the numpy kernel loop does no slicing.
-        self.rows: List[np.ndarray] = list(self.buf)
-
-        # Compiled-program slabs (the in-place compile target).
-        self.ops = np.empty(num_nodes, dtype=np.int32)
-        self.src_a = np.empty(num_nodes, dtype=np.int32)
-        self.src_b = np.empty(num_nodes, dtype=np.int32)
-        self.dst = np.empty(num_nodes, dtype=np.int32)
-        self.out_slots = np.empty(num_outputs, dtype=np.int32)
-
-        # Decode / reduction scratch.
+        self.buf = np.array(stimulus, dtype=np.uint64, order="C")
+        # Slot s >= ni lives in lane row s - ni; the worst case (no slot
+        # reuse) needs num_nodes rows.
+        self.scratch_lane = np.empty(
+            (num_nodes, self.words), dtype=np.uint64
+        )
+        #: Slot-indexed row views (stimulus rows, then lane rows),
+        #: prebuilt so the numpy kernel loop does no slicing.
+        self.slot_rows: List[np.ndarray] = (
+            list(self.buf) + list(self.scratch_lane)
+        )
         ngroups = (self.num_vectors + 7) // 8
+        #: Native bit-transpose scratch of the output planes.
         self.decode_scratch = np.empty(4 * max(ngroups, 1), dtype=np.uint64)
-        self.planes = np.empty((num_outputs, self.words), dtype=np.uint64)
-        self.values = np.empty(self.num_vectors, dtype=np.int32)
+        #: Per-vector distances of the candidate just run.
         self.err = np.empty(self.num_vectors, dtype=np.float64)
+        #: Its ``(sum |d|, count != 0, max |d|)`` on the native exact path.
+        self.stats = np.zeros(3, dtype=np.int64)
 
-        # Batch lanes, allocated lazily by ensure_batch().
+        # Per-candidate program slabs, allocated lazily by ensure_batch().
         self.batch_capacity = 0
         #: Incremented on every batch (re)allocation so callers caching
         #: raw buffer addresses know when to refresh them.
         self.batch_epoch = 0
-        self.batch_lanes: Optional[np.ndarray] = None
         self.batch_ops: Optional[np.ndarray] = None
         self.batch_src_a: Optional[np.ndarray] = None
         self.batch_src_b: Optional[np.ndarray] = None
         self.batch_dst: Optional[np.ndarray] = None
         self.batch_out_slots: Optional[np.ndarray] = None
         self.batch_n_ops: Optional[np.ndarray] = None
-        self.batch_scratch: Optional[np.ndarray] = None
-        self.batch_err: Optional[np.ndarray] = None
-        self.batch_stats: Optional[np.ndarray] = None
         self.batch_wsum: Optional[np.ndarray] = None
         self.batch_exited: Optional[np.ndarray] = None
-        self._batch_rows: List[List[np.ndarray]] = []
 
     # ------------------------------------------------------------------
     def assert_owner(self) -> None:
@@ -131,7 +125,7 @@ class BufferArena:
 
     # ------------------------------------------------------------------
     def ensure_batch(self, n_cand: int) -> None:
-        """Grow the per-candidate batch buffers to hold ``n_cand``.
+        """Grow the per-candidate program slabs to hold ``n_cand``.
 
         No-op when capacity already suffices.  Growth reallocates (old
         batch contents are not preserved — every batch dispatch fills
@@ -139,39 +133,16 @@ class BufferArena:
         """
         if n_cand <= self.batch_capacity:
             return
-        ni, nn, no = self.num_inputs, self.num_nodes, self.num_outputs
-        ngroups = (self.num_vectors + 7) // 8
-        # Private scratch lane per candidate: slot s >= ni lives in lane
-        # row s - ni; worst case (no slot reuse) needs nn rows.
-        self.batch_lanes = np.empty((n_cand, nn, self.words), dtype=np.uint64)
+        nn, no = self.num_nodes, self.num_outputs
         self.batch_ops = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_src_a = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_src_b = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_dst = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_out_slots = np.empty((n_cand, max(no, 1)), dtype=np.int32)
         self.batch_n_ops = np.zeros(n_cand, dtype=np.int32)
-        self.batch_scratch = np.empty(
-            (n_cand, 4 * max(ngroups, 1)), dtype=np.uint64
-        )
-        self.batch_err = np.empty(
-            (n_cand, self.num_vectors), dtype=np.float64
-        )
-        # Per-candidate (sum |d|, count != 0, max |d|) for the native
-        # exact-reduction path; rows stay untouched on the err path.
-        self.batch_stats = np.zeros((n_cand, 3), dtype=np.int64)
         # Per-candidate D-weighted distance sum and early-exit flag for
         # the native fused WMED path.
         self.batch_wsum = np.zeros(n_cand, dtype=np.float64)
         self.batch_exited = np.zeros(n_cand, dtype=np.int32)
-        # Slot-indexed row views per candidate for the numpy backend:
-        # rows[s] is stimulus row s for s < ni, lane row s - ni above.
-        self._batch_rows = [
-            self.rows[:ni] + list(self.batch_lanes[c])
-            for c in range(n_cand)
-        ]
         self.batch_capacity = n_cand
         self.batch_epoch += 1
-
-    def batch_rows(self, cand: int) -> List[np.ndarray]:
-        """Slot-indexed row views for batch candidate ``cand``."""
-        return self._batch_rows[cand]

@@ -15,12 +15,13 @@ through the evaluation engine:
    (:mod:`repro.engine.kernels`), followed by the fused decode/error
    reduction and the objective's metric.
 
-Results are bit-identical to the interpreted objective: all simulation
-and decode arithmetic is integer-exact, both paths produce the same
-``float64`` per-vector distance vector, and the metric reduction is the
-same code (:meth:`ErrorMetric.from_distances`) over the same operand
-order.  Two native reductions skip the distance vector and stay
-bit-equal by construction: the exact-integer fold (see
+Every evaluation takes this one route; :meth:`~_EngineEvalMixin.evaluate`
+is a batch of one.  Results are bit-identical to the interpreted
+objective: all simulation and decode arithmetic is integer-exact, both
+backends produce the same ``float64`` per-vector distance vector, and
+the metric reduction is the same code (:meth:`ErrorMetric.from_distances`)
+over the same operand order.  Two native reductions skip the distance
+vector and stay bit-equal by construction: the exact-integer fold (see
 ``_init_engine``) and the fused D-weighted WMED sum, which runs the
 fixed operation order of :func:`~repro.errors.metrics.weighted_sum`
 inside the C tile loop and may stop offspring that provably miss the
@@ -29,9 +30,6 @@ cache key folds in the objective's identity (reference, weights,
 metric, signedness), so caches never alias across objectives.
 Evaluators are not thread-safe (each owns one arena); use one instance
 per worker.
-
-:class:`CompiledMultiplierFitness` remains the drop-in
-``MultiplierFitness`` subclass from the original engine PR.
 """
 
 from __future__ import annotations
@@ -45,26 +43,23 @@ import numpy as np
 
 from ..core.chromosome import CGPParams, Chromosome
 from ..obs import catalog as _obs
-from ..core.fitness import MultiplierFitness
 from ..core.objective import (
     CircuitObjective,
     EvalResult,
     SampledEvalResult,
     SampledObjective,
 )
-from ..errors.distributions import Distribution
 from ..tech.library import TechLibrary
 from . import kernels
 from .arena import BufferArena
 from .cache import EvalCache
 from .compiler import compile_genes_into, phenotype_signature
-from .native import NativeLib, native_lib, omp_threads
+from .native import NativeLib, native_lib
 from .opcodes import OP_ARITY, OP_NAMES, function_opcode_table
 
 __all__ = [
     "CompiledObjective",
     "CompiledSampledObjective",
-    "CompiledMultiplierFitness",
 ]
 
 
@@ -128,18 +123,11 @@ class _Runtime:
         self._lane_stats_args: List[tuple] = []
         if native is not None:
             a = self.arena
-            # Single-path exact-reduction target (sum, count, max).
-            self.stats3 = np.zeros(3, dtype=np.int64)
-            self.p_stats3 = self.stats3.ctypes.data
             self.p_buf = a.buf.ctypes.data
-            self.p_ops = a.ops.ctypes.data
-            self.p_src_a = a.src_a.ctypes.data
-            self.p_src_b = a.src_b.ctypes.data
-            self.p_dst = a.dst.ctypes.data
-            self.p_out_slots = a.out_slots.ctypes.data
-            self.p_decode_scratch = a.decode_scratch.ctypes.data
-            self.p_values = a.values.ctypes.data
+            self.p_lane = a.scratch_lane.ctypes.data
+            self.p_scratch = a.decode_scratch.ctypes.data
             self.p_err = a.err.ctypes.data
+            self.p_stats = a.stats.ctypes.data
             self.p_fn2op = fn2op.ctypes.data
             self.p_arity = OP_ARITY.ctypes.data
             self.p_needed = self.needed.ctypes.data
@@ -148,120 +136,23 @@ class _Runtime:
                 exact32.ctypes.data if exact32 is not None else 0
             )
             # Fused D-weighted WMED (set only for objectives that take
-            # it): the weight vector, plus the single-path candidate's
-            # op count and (sum, exit flag) outputs.
+            # it): the per-vector weight vector.
             self.weights = weights
             self.p_weights = weights.ctypes.data if weights is not None else 0
-            self.n_ops1 = np.zeros(1, dtype=np.int32)
-            self.wsum1 = np.zeros(1, dtype=np.float64)
-            self.exited1 = np.zeros(1, dtype=np.int32)
-
-    def compile(self, genes: np.ndarray) -> int:
-        """Lower ``genes`` into the arena slabs; return ``n_ops``."""
-        genes = np.ascontiguousarray(genes, dtype=np.int64)
-        a = self.arena
-        p = self.params
-        if self.native is not None:
-            return self.native.compile(
-                genes, p.num_nodes, p.num_inputs, p.num_outputs,
-                self.p_fn2op, self.p_arity, self.p_ops, self.p_src_a,
-                self.p_src_b, self.p_dst, self.p_out_slots, self.p_needed,
-                self.p_scratch_i32,
-            )
-        return compile_genes_into(
-            genes, p, self.fn2op_list,
-            a.ops, a.src_a, a.src_b, a.dst, a.out_slots,
-        )
-
-    def signature(self, n_ops: int) -> bytes:
-        a = self.arena
-        return phenotype_signature(
-            a.ops[:n_ops], a.src_a[:n_ops], a.src_b[:n_ops], a.dst[:n_ops],
-            a.out_slots, salt=self.salt,
-        )
-
-    def execute(self, n_ops: int) -> None:
-        a = self.arena
-        if self.native is not None:
-            self.native.kernel(
-                self.p_buf, a.num_inputs, a.words, n_ops,
-                self.p_ops, self.p_src_a, self.p_src_b, self.p_dst,
-            )
-        else:
-            kernels.run_program(a, n_ops)
-
-    def error(self, signed: bool, exact32: np.ndarray) -> np.ndarray:
-        a = self.arena
-        if self.native is not None:
-            self.native.decode_err(
-                self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-                a.num_vectors, signed, self.p_decode_scratch, exact32,
-                self.p_err,
-            )
-            return a.err
-        return kernels.decode_error(a, a.num_outputs, signed, exact32)
-
-    def wmed_sum(self, n_ops: int, signed: bool) -> float:
-        """Run + fused D-weighted distance sum of the single-path program.
-
-        Native only.  The program compiled into the arena slabs runs
-        through the same ``cgp_eval_batch`` fused loop as the brood path
-        (one candidate, the contiguous arena as its lane, no early
-        exit), so single and batched evaluation give the same bits.
-        """
-        a = self.arena
-        self.n_ops1[0] = n_ops
-        self.native.eval_batch(
-            self.p_buf, self.p_buf + a.num_inputs * a.words * 8,
-            a.num_inputs, 0, a.words, 1, self.n_ops1, self.p_ops,
-            self.p_src_a, self.p_src_b, self.p_dst, 0, self.p_out_slots,
-            a.num_outputs, 0, a.num_vectors, signed,
-            self.p_decode_scratch, 0, self.p_exact, self.p_err, 0, 1,
-            weights=self.p_weights, wsum=self.wsum1, exited=self.exited1,
-        )
-        return float(self.wsum1[0])
-
-    def reduce_stats(self, signed: bool) -> tuple:
-        """Decode + exact integer reduction of the single-path outputs.
-
-        Native only.  Returns ``(sum |d|, count != 0, max |d|)`` over the
-        per-vector distances — the same integers :meth:`error` would
-        materialize as float64 — without writing the error row.
-        """
-        a = self.arena
-        self.native.decode_reduce(
-            self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-            a.num_vectors, signed, self.p_decode_scratch, self.p_exact,
-            self.p_stats3,
-        )
-        return self.stats3.tolist()
-
-    def values(self, signed: bool) -> np.ndarray:
-        a = self.arena
-        if self.native is not None:
-            self.native.decode(
-                self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-                a.num_vectors, signed, self.p_decode_scratch, self.p_values,
-            )
-            return a.values
-        return kernels.decode_values(a, a.num_outputs, signed)
 
     # ------------------------------------------------------------------
-    # Batched evaluation over per-candidate lanes.
+    # Batched evaluation over per-candidate program slabs.
     def ensure_batch(self, n_cand: int) -> None:
-        """Size the arena's batch lanes and refresh cached addresses."""
+        """Size the arena's program slabs and refresh cached addresses."""
         a = self.arena
         a.ensure_batch(n_cand)
         if self.native is not None and self._batch_epoch_seen != a.batch_epoch:
-            self.p_lanes = a.batch_lanes.ctypes.data
             self.p_b_ops = a.batch_ops.ctypes.data
             self.p_b_src_a = a.batch_src_a.ctypes.data
             self.p_b_src_b = a.batch_src_b.ctypes.data
             self.p_b_dst = a.batch_dst.ctypes.data
             self.p_b_out_slots = a.batch_out_slots.ctypes.data
             self.p_b_n_ops = a.batch_n_ops.ctypes.data
-            self.p_b_scratch = a.batch_scratch.ctypes.data
-            self.p_b_stats = a.batch_stats.ctypes.data
             self.p_b_wsum = a.batch_wsum.ctypes.data
             self.p_b_exited = a.batch_exited.ctypes.data
             # Fully precomposed cgp_compile argument tails, one per slab
@@ -303,16 +194,15 @@ class _Runtime:
             self._lane_stats_args = [
                 (
                     (
-                        self.p_buf, self.p_lanes, a.num_inputs, 0,
-                        a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
+                        self.p_buf, self.p_lane, a.num_inputs, a.words, 1,
+                        n_ops_p, ops_p, sa_p, sb_p, dst_p,
                         a.num_nodes, osl_p, a.num_outputs,
                         a.batch_out_slots.shape[1], a.num_vectors,
                     ),
                     (
-                        self.p_b_scratch, 0, self.p_exact, self.p_err,
-                        a.num_vectors, self.p_b_stats,
+                        self.p_scratch, self.p_exact, self.p_err,
+                        self.p_stats,
                         0, 1.0, 0.0, 0, 0,      # no fused weighted sum
-                        1,
                     ),
                 )
                 for (n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p)
@@ -342,12 +232,8 @@ class _Runtime:
         return n
 
     def lane_signature(self, lane: int, n_ops: int) -> bytes:
-        """Signature of the program in slab row ``lane``.
-
-        Byte-identical to :meth:`signature` for the same phenotype — the
-        slab rows hold exactly what the single-candidate compile emits —
-        so batch and sequential paths share one cache keyspace.
-        """
+        """Phenotype-cache key of the program in slab row ``lane``: the
+        canonical program's bytes, salted with the objective identity."""
         a = self.arena
         return phenotype_signature(
             a.batch_ops[lane, :n_ops], a.batch_src_a[lane, :n_ops],
@@ -359,51 +245,13 @@ class _Runtime:
         a = self.arena
         return float(self.area_by_op[a.batch_ops[lane, :n_ops]].sum())
 
-    def execute_batch(self, n_lanes: int, signed: bool) -> None:
-        """Run + decode-error all ``n_lanes`` lanes (numpy backend).
-
-        Lane ``k``'s per-vector distances land in ``arena.batch_err[k]``,
-        bit-identical to the single-candidate path.
-        """
-        a = self.arena
-        for k in range(n_lanes):
-            kernels.run_program_batch(a, k, int(a.batch_n_ops[k]))
-            kernels.decode_error_batch(
-                a, k, a.num_outputs, signed, self.exact32
-            )
-
-    def execute_team_stats(
-        self, n_lanes: int, signed: bool, nthreads: int
-    ) -> np.ndarray:
-        """Run + exact integer reduction of all lanes under an OpenMP team.
-
-        Native only.  One ``cgp_eval_batch`` call splits the candidates
-        across ``nthreads`` threads, each writing its private lane and
-        transpose scratch (full strides); lane ``k``'s
-        ``(sum |d|, count != 0, max |d|)`` lands in
-        ``arena.batch_stats[k]``, which is returned.  No distance row is
-        written, so nothing outside C runs while the team is up.
-        """
-        a = self.arena
-        self.native.eval_batch(
-            self.p_buf, self.p_lanes, a.num_inputs, a.num_nodes,
-            a.words, n_lanes, self.p_b_n_ops, self.p_b_ops,
-            self.p_b_src_a, self.p_b_src_b, self.p_b_dst,
-            a.num_nodes, self.p_b_out_slots, a.num_outputs,
-            a.batch_out_slots.shape[1], a.num_vectors, signed,
-            self.p_b_scratch, a.batch_scratch.shape[1],
-            self.p_exact, self.p_err, 0, nthreads,
-            stats=self.p_b_stats,
-        )
-        return a.batch_stats
-
     def execute_wmed(
         self, n_lanes: int, signed: bool, norm: float, thr: float
     ) -> tuple:
         """Run + fused D-weighted distance sum of all lanes (native only).
 
-        One ``cgp_eval_batch`` call for the whole brood, serial, every
-        candidate reusing one scratch lane (stride 0): the weighted sum
+        One ``cgp_eval_batch`` call for the whole brood, every candidate
+        reusing the arena's one scratch lane: the weighted sum
         folds into 16 lane accumulators tile by tile, so no distance row
         is written and nothing needs to stay cache-hot between
         candidates.  A candidate stops early once a non-final tile shows
@@ -413,11 +261,11 @@ class _Runtime:
         """
         a = self.arena
         self.native.eval_batch(
-            self.p_buf, self.p_lanes, a.num_inputs, 0, a.words, n_lanes,
+            self.p_buf, self.p_lane, a.num_inputs, a.words, n_lanes,
             self.p_b_n_ops, self.p_b_ops, self.p_b_src_a, self.p_b_src_b,
             self.p_b_dst, a.num_nodes, self.p_b_out_slots, a.num_outputs,
             a.batch_out_slots.shape[1], a.num_vectors, signed,
-            self.p_b_scratch, 0, self.p_exact, self.p_err, 0, 1,
+            self.p_scratch, self.p_exact, self.p_err,
             weights=self.p_weights, norm=norm, thr=thr,
             wsum=self.p_b_wsum, exited=self.p_b_exited,
         )
@@ -427,27 +275,28 @@ class _Runtime:
         )
 
     def execute_lane(self, lane: int, signed: bool) -> np.ndarray:
-        """Run + decode-error one compiled slab lane (native only).
+        """Run + decode-error slab row ``lane`` into ``arena.err``.
 
-        The cache-blocked serial schedule of the batch ABI: the same
-        ``cgp_eval_batch`` entry point, dispatched one candidate at a
-        time with the slab pointers offset to ``lane`` and every
-        per-candidate buffer — scratch lane, transpose scratch and the
-        *single-path* error row (``arena.err``) — reused across chunks.
-        The caller reduces the returned distances before the next chunk
-        overwrites them, so each reduction reads a cache-hot row instead
-        of one of N cold private rows; results are bit-identical to the
-        one-call dispatch (same C code runs per candidate either way).
+        The cache-blocked serial schedule: one candidate at a time, the
+        arena's scratch lane, transpose scratch and error row reused by
+        each.  The caller reduces the returned distances before the next
+        candidate overwrites them, so each reduction reads a cache-hot
+        row.  Native: the ``cgp_eval_batch`` entry point with the slab
+        pointers offset to ``lane``; numpy: the bit-identical kernels.
         """
         a = self.arena
+        if self.native is None:
+            kernels.run_program_batch(a, lane, int(a.batch_n_ops[lane]))
+            return kernels.decode_error_batch(
+                a, lane, a.num_outputs, signed, self.exact32
+            )
         n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p = self._lane_eval_args[lane]
         self.native.eval_batch(
-            self.p_buf, self.p_lanes, a.num_inputs, 0,
-            a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
+            self.p_buf, self.p_lane, a.num_inputs, a.words, 1,
+            n_ops_p, ops_p, sa_p, sb_p, dst_p,
             a.num_nodes, osl_p, a.num_outputs,
             a.batch_out_slots.shape[1], a.num_vectors, signed,
-            self.p_b_scratch, 0, self.p_exact, self.p_err,
-            a.num_vectors, 1,
+            self.p_scratch, self.p_exact, self.p_err,
         )
         return a.err
 
@@ -456,21 +305,20 @@ class _Runtime:
 
         The stats-mode twin of :meth:`execute_lane`: the same chunked
         serial dispatch, but the decoded distances fold into
-        ``(sum |d|, count != 0, max |d|)`` in C (``arena.batch_stats``
-        row 0, reused across chunks) and the ~``num_vectors`` float64
-        error row is never written — the dominant share of a width-8
-        evaluation's memory traffic.
+        ``(sum |d|, count != 0, max |d|)`` in C (``arena.stats``) and
+        the ~``num_vectors`` float64 error row is never written — the
+        dominant share of a width-8 evaluation's memory traffic.
         """
         head, tail = self._lane_stats_args[lane]
         self.native._lib.cgp_eval_batch(*head, int(signed), *tail)
-        return self.arena.batch_stats[0].tolist()
+        return self.arena.stats.tolist()
 
 
 class _EngineEvalMixin:
     """Engine-backed hot path over :class:`CircuitObjective` state.
 
     Mixed into a concrete objective class (``CompiledObjective``,
-    ``CompiledMultiplierFitness``); expects the base objective's
+    ``CompiledSampledObjective``); expects the base objective's
     attributes (``num_inputs``, ``num_vectors``, ``stimulus``,
     ``reference``, ``weights``, ``normalizer``, ``signed``, ``metric``,
     ``library``) to be initialized before :meth:`_init_engine` runs.
@@ -668,62 +516,16 @@ class _EngineEvalMixin:
         return EvalResult(fitness=fitness, wmed=error, area=area)
 
     # ------------------------------------------------------------------
-    def _measure(self, chromosome: Chromosome) -> tuple:
-        """Measure tuple of a candidate, via cache or fresh execution."""
-        rt = self._runtime(chromosome.params)
-        if rt is None:
-            return self._measure_interpreted(chromosome)
-        rt.arena.assert_owner()
-        n_ops = rt.compile(chromosome.genes)
-        caching = self.cache.max_entries > 0
-        if caching:
-            sig = rt.signature(n_ops)
-            cached = self.cache.get(sig)
-            if cached is not None:
-                return cached
-        area = float(rt.area_by_op[rt.arena.ops[:n_ops]].sum())
-        if self._fused_wmed:
-            measure = (
-                rt.wmed_sum(n_ops, self.signed) / self.normalizer, area
-            )
-        elif rt.native is not None and self._reduce_kind is not None:
-            rt.execute(n_ops)
-            measure = (
-                self._reduce_error(*rt.reduce_stats(self.signed)),
-                area,
-            )
-        else:
-            rt.execute(n_ops)
-            measure = self._finish_measure(
-                rt.error(self.signed, self._exact32), area
-            )
-        if caching:
-            self.cache.put(sig, *measure)
-        return measure
-
-    def truth_table(self, chromosome: Chromosome) -> np.ndarray:
-        self._check_params(chromosome.params)
-        rt = self._runtime(chromosome.params)
-        if rt is None:
-            return CircuitObjective.truth_table(self, chromosome)
-        n_ops = rt.compile(chromosome.genes)
-        rt.execute(n_ops)
-        return rt.values(self.signed).astype(np.int64)
+    def evaluate(self, chromosome: Chromosome, threshold: float) -> EvalResult:
+        """Eq. (1) result of one candidate: a batch of one."""
+        return self.evaluate_batch([chromosome], threshold)[0]
 
     def error(self, chromosome: Chromosome) -> float:
-        self._check_params(chromosome.params)
-        return self._measure(chromosome)[0]
+        """The objective's error-metric value, through the batch path."""
+        return self.evaluate_batch([chromosome], math.inf)[0].wmed
 
     def wmed(self, chromosome: Chromosome) -> float:
         return self.error(chromosome)
-
-    def evaluate(self, chromosome: Chromosome, threshold: float) -> EvalResult:
-        t0 = perf_counter_ns()
-        self._check_params(chromosome.params)
-        result = self._result(self._measure(chromosome), threshold)
-        _obs.ENGINE_EVALS.inc()
-        _obs.ENGINE_EVAL_NS.inc(perf_counter_ns() - t0)
-        return result
 
     def _lane_measure(
         self, rt: _Runtime, n_lanes: int, threshold: float, early_exit: bool
@@ -734,30 +536,22 @@ class _EngineEvalMixin:
         D-weighted WMED runs the whole brood in one native call up front
         (see :meth:`_Runtime.execute_wmed`); ``exited`` then flags the
         lanes it stopped early (none unless ``early_exit``); on every
-        other path it is ``None``.  Other native lanes run chunked and serially (see
-        :meth:`_Runtime.execute_lane`) unless the exact-integer fold
-        applies and ``REPRO_OMP`` asks for a team; then all lanes run in
-        one threaded call up front.  The numpy backend likewise runs the
-        whole brood before reducing.
+        other path it is ``None``.  Other lanes run one at a time,
+        each measured before the next runs (see
+        :meth:`_Runtime.execute_lane` and
+        :meth:`_Runtime.execute_lane_stats`).
         """
         lane_area = rt.lane_area
         signed = self.signed
         exited = None
-        if rt.native is None:
-            rt.execute_batch(n_lanes, signed)
-            batch_err = rt.arena.batch_err
-            finish = self._finish_measure
-
-            def measure(lane: int, n_ops: int) -> tuple:
-                return finish(batch_err[lane], lane_area(lane, n_ops))
-        elif self._fused_wmed:
+        if self._fused_wmed:
             exit_at = threshold if early_exit and self._exit_ok else math.inf
             norm = self.normalizer
             sums, exited = rt.execute_wmed(n_lanes, signed, norm, exit_at)
 
             def measure(lane: int, n_ops: int) -> tuple:
                 return (sums[lane] / norm, lane_area(lane, n_ops))
-        elif self._reduce_kind is None:
+        elif rt.native is None or self._reduce_kind is None:
             execute_lane = rt.execute_lane
             finish = self._finish_measure
 
@@ -767,23 +561,13 @@ class _EngineEvalMixin:
                 )
         else:
             reduce_error = self._reduce_error
-            nthreads = omp_threads() if n_lanes > 1 else 1
-            if nthreads > 1:
-                stats = rt.execute_team_stats(n_lanes, signed, nthreads)
+            execute_lane_stats = rt.execute_lane_stats
 
-                def measure(lane: int, n_ops: int) -> tuple:
-                    return (
-                        reduce_error(*stats[lane].tolist()),
-                        lane_area(lane, n_ops),
-                    )
-            else:
-                execute_lane_stats = rt.execute_lane_stats
-
-                def measure(lane: int, n_ops: int) -> tuple:
-                    return (
-                        reduce_error(*execute_lane_stats(lane, signed)),
-                        lane_area(lane, n_ops),
-                    )
+            def measure(lane: int, n_ops: int) -> tuple:
+                return (
+                    reduce_error(*execute_lane_stats(lane, signed)),
+                    lane_area(lane, n_ops),
+                )
         return measure, exited
 
     def evaluate_batch(
@@ -792,32 +576,26 @@ class _EngineEvalMixin:
         threshold: float,
         early_exit: bool = False,
     ) -> List[EvalResult]:
-        """Evaluate a population slice through the batch ABI.
+        """Evaluate candidates through the batch ABI (the only engine path).
 
-        Per candidate: compile into a private slab lane, look the
+        Per candidate: compile into a private program-slab row, look the
         signature up in the phenotype cache, and dedupe identical
         phenotypes within the batch.  Survivors then run through the
-        ``cgp_eval_batch`` ABI under one of two schedules:
+        serial ``cgp_eval_batch`` schedule:
 
-        * serial (the default): the entry point dispatched one candidate
-          at a time (cache-blocked), every chunk reusing the same lane,
-          scratch and error row so the metric reduction that follows it
-          reads cache-hot data;
-        * threaded: **one** call, candidate loop in C under an OpenMP
-          team.  Only when ``REPRO_OMP`` requests N > 1 threads *and*
-          the reduction is the exact-integer C fold (``_reduce_kind``),
-          so distances never leave C.  Float reductions (MRED, sampled,
-          ...) always run serially: their ``np.dot`` runs on OpenBLAS's
-          thread pool, which the team's spinning workers starve;
-        * fused D-weighted WMED (native, non-uniform weights): **one**
-          serial call in which each candidate's weighted distance sum
-          folds into the C tile loop — no distance row, no BLAS.
+        * the exact-integer fold and the float-row reductions dispatch
+          the entry point one candidate at a time (cache-blocked), every
+          chunk reusing the same lane, scratch and error row so the
+          reduction that follows it reads cache-hot data;
+        * fused D-weighted WMED (non-uniform weights): **one** call in
+          which each candidate's weighted distance sum folds into the C
+          tile loop — no distance row, no BLAS.
 
-        The numpy backend runs the brood into private error rows, then
-        reduces each.  Results are bit-identical to calling
-        :meth:`evaluate` sequentially — same compiled programs, same
-        integer kernels, same float64 reduction operand order — the
-        schedule only changes dispatch overhead and memory locality.
+        The numpy backend runs the float-row schedule with its own
+        kernels.  A candidate's result does not depend on the rest
+        of its batch — same compiled program, same integer kernels, same
+        float64 reduction operand order — so :meth:`evaluate`, a batch
+        of one, gives the same bits.
 
         ``early_exit=True`` lets the fused path stop a candidate after
         any non-final tile whose partial sum already puts its error
@@ -829,8 +607,9 @@ class _EngineEvalMixin:
         be selected, so trajectories do not change.  Other paths ignore
         the flag and evaluate exactly.
 
-        Mixed-params batches and non-engine runtimes fall back to the
-        sequential path.
+        A mixed-params list is evaluated one params group at a time and
+        returned in input order; params the engine cannot run (no
+        runtime) are measured by the interpreted objective.
         """
         chromosomes = list(chromosomes)
         if not chromosomes:
@@ -838,15 +617,35 @@ class _EngineEvalMixin:
         params = chromosomes[0].params
         for c in chromosomes:
             self._check_params(c.params)
-        rt = self._runtime(params)
-        if rt is None or any(c.params != params for c in chromosomes[1:]):
-            # The sequential fallback counts per-candidate in evaluate().
-            return [self.evaluate(c, threshold) for c in chromosomes]
+        if any(c.params != params for c in chromosomes[1:]):
+            groups: Dict[CGPParams, List[int]] = {}
+            for i, c in enumerate(chromosomes):
+                groups.setdefault(c.params, []).append(i)
+            out: List[Optional[EvalResult]] = [None] * len(chromosomes)
+            for idx in groups.values():
+                group = self.evaluate_batch(
+                    [chromosomes[i] for i in idx], threshold, early_exit
+                )
+                for i, r in zip(idx, group):
+                    out[i] = r
+            return out
         t0 = perf_counter_ns()
+        rt = self._runtime(params)
+        if rt is None:
+            results = [
+                self._result(self._measure_interpreted(c), threshold)
+                for c in chromosomes
+            ]
+            _obs.ENGINE_EVALS.inc(len(results))
+            _obs.ENGINE_EVAL_NS.inc(perf_counter_ns() - t0)
+            return results
         rt.arena.assert_owner()
         n = len(chromosomes)
         rt.ensure_batch(n)
         caching = self.cache.max_entries > 0
+        # The signature keys the cache and the in-batch dedupe; a lone
+        # candidate with caching off needs neither.
+        need_sig = caching or n > 1
         measures: List[Optional[tuple]] = [None] * n
         dups: List[tuple] = []          # (result index, lane index)
         pending: List[tuple] = []       # (result index, lane, sig, n_ops)
@@ -860,7 +659,7 @@ class _EngineEvalMixin:
         cache_get = self.cache.get
         for i, ch in enumerate(chromosomes):
             n_ops = compile_lane(ch.genes, n_lanes)
-            sig = lane_sig(n_lanes, n_ops)
+            sig = lane_sig(n_lanes, n_ops) if need_sig else b""
             if caching:
                 cached = cache_get(sig)
                 if cached is not None:
@@ -909,12 +708,6 @@ class _EngineEvalMixin:
 
     def stats(self) -> dict:
         """Engine counters for logging and benchmarks."""
-        omp = {"compiled": False, "threads": 1}
-        if self._native is not None:
-            omp = {
-                "compiled": self._native.omp_compiled(),
-                "threads": omp_threads(),
-            }
         return {
             "backend": self.backend,
             "cache": self.cache.stats(),
@@ -926,7 +719,6 @@ class _EngineEvalMixin:
                 "dedup": self._batch_dedup,
                 "early_exit": self._batch_early_exit,
             },
-            "omp": omp,
         }
 
 
@@ -940,8 +732,9 @@ class CompiledObjective(_EngineEvalMixin, CircuitObjective):
 
     Args:
         objective: The interpreted objective to accelerate — anything
-            built by :mod:`repro.core.components` (or a legacy
-            ``MultiplierFitness`` / ``CircuitFitness``).
+            built by :mod:`repro.core.components`, or a
+            :class:`~repro.core.objective.CircuitObjective` built
+            directly.
         backend: ``"auto"`` (native when buildable, else numpy),
             ``"native"`` (require the C backend) or ``"numpy"``.
         cache_entries: Phenotype-cache capacity; 0 disables caching.
@@ -1008,8 +801,8 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
         return (est.value, area, est.ci_low, est.ci_high)
 
     def _measure_interpreted(self, chromosome: Chromosome) -> tuple:
-        # error_distances() routes through the mixin's truth_table, so
-        # this also covers the engine-undecodable widths.
+        # The inherited interpreted truth table: this also covers the
+        # engine-undecodable widths.
         est = SampledObjective.estimate_distances(
             self, CircuitObjective.error_distances(self, chromosome)
         )
@@ -1031,33 +824,3 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
             ci_high=ci_high,
         )
 
-
-class CompiledMultiplierFitness(_EngineEvalMixin, MultiplierFitness):
-    """Engine-backed drop-in for the legacy ``MultiplierFitness``.
-
-    Equivalent to ``CompiledObjective(MultiplierFitness(...))`` but keeps
-    the historical class identity and constructor.
-
-    Args:
-        width: Operand bit width.
-        dist: Operand-``x`` distribution defining the WMED weights.
-        library: Technology library for the area term.
-        backend: ``"auto"`` (native when buildable, else numpy),
-            ``"native"`` (require the C backend) or ``"numpy"``.
-        cache_entries: Phenotype-cache capacity; 0 disables caching.
-        metric: Error metric; the paper's ``"wmed"`` by default.
-    """
-
-    def __init__(
-        self,
-        width: int,
-        dist: Distribution,
-        library: Optional[TechLibrary] = None,
-        backend: str = "auto",
-        cache_entries: int = 1 << 16,
-        metric: object = "wmed",
-    ) -> None:
-        MultiplierFitness.__init__(
-            self, width, dist, library=library, metric=metric
-        )
-        self._init_engine(backend, cache_entries)

@@ -4,13 +4,15 @@ This is the portable fallback behind the native C backend of
 :mod:`repro.engine.native`; both consume the same compiled programs and
 produce bit-identical results.  Speed comes from three things:
 
-* the kernel loop runs over prebuilt arena row views with in-place
-  (``out=``) ufunc kernels — no dict lookups, no per-gate allocation;
+* the kernel loop runs over the arena's prebuilt slot-row views with
+  in-place (``out=``) ufunc kernels — no dict lookups, no per-gate
+  allocation;
 * decode unpacks *all* output planes with one stacked ``unpackbits`` and
   combines them with per-byte-group ``einsum`` (a bit transpose), instead
   of one unpack + shift + or round-trip per plane;
-* the error step subtracts the precomputed exact table directly into a
-  preallocated ``float64`` distance buffer, which the objective's metric
+* the error step subtracts the precomputed exact table directly into
+  the arena's preallocated ``float64`` distance row, which the
+  objective's metric
   then reduces (WMED through the fixed-order
   :func:`~repro.errors.metrics.weighted_sum`, the same order the native
   backend folds into its tile loop).
@@ -23,43 +25,21 @@ import numpy as np
 from .arena import BufferArena
 from .opcodes import NUMPY_KERNELS
 
-__all__ = [
-    "run_program",
-    "run_program_batch",
-    "decode_values",
-    "decode_error",
-    "decode_error_batch",
-]
+__all__ = ["run_program_batch", "decode_error_batch"]
 
 #: Per-bit weights for one byte group of the stacked bit-transpose.
 _POW2_8 = (np.uint16(1) << np.arange(8, dtype=np.uint16)).astype(np.uint16)
 
 
-def run_program(arena: BufferArena, n_ops: int) -> None:
-    """Execute ``n_ops`` compiled operations over the arena rows.
-
-    The compiler guarantees a destination never aliases its operands, so
-    the two-step in-place kernels (NAND, ANDN, ...) are safe.
-    """
-    rows = arena.rows
-    kernels = NUMPY_KERNELS
-    ops = arena.ops[:n_ops].tolist()
-    src_a = arena.src_a[:n_ops].tolist()
-    src_b = arena.src_b[:n_ops].tolist()
-    dst = arena.dst[:n_ops].tolist()
-    for op, a, b, d in zip(ops, src_a, src_b, dst):
-        kernels[op](rows[a], rows[b], rows[d])
-
-
 def run_program_batch(arena: BufferArena, cand: int, n_ops: int) -> None:
-    """Execute batch candidate ``cand``'s compiled slab into its lane.
+    """Execute batch candidate ``cand``'s compiled slab.
 
-    Identical op-by-op arithmetic to :func:`run_program`, but sources
-    resolve against the shared stimulus rows plus the candidate's
-    private lane (see :meth:`BufferArena.batch_rows`), and all stores
-    land in the lane — candidates never alias each other.
+    Sources resolve against the stimulus rows and the arena's scratch
+    lane (``arena.slot_rows``), and all stores land in the lane.  The
+    compiler guarantees a destination never aliases its operands, so the
+    two-step in-place kernels (NAND, ANDN, ...) are safe.
     """
-    rows = arena.batch_rows(cand)
+    rows = arena.slot_rows
     kernels = NUMPY_KERNELS
     ops = arena.batch_ops[cand, :n_ops].tolist()
     src_a = arena.batch_src_a[cand, :n_ops].tolist()
@@ -69,28 +49,16 @@ def run_program_batch(arena: BufferArena, cand: int, n_ops: int) -> None:
         kernels[op](rows[a], rows[b], rows[d])
 
 
-def _gather_planes(arena: BufferArena, n_bits: int) -> np.ndarray:
-    planes = arena.planes[:n_bits]
-    np.take(arena.buf, arena.out_slots[:n_bits], axis=0, out=planes)
-    return planes
-
-
 def _decode_planes(
-    planes: np.ndarray,
-    num_vectors: int,
-    n_bits: int,
-    signed: bool,
-    values: np.ndarray,
+    planes: np.ndarray, num_vectors: int, n_bits: int, signed: bool
 ) -> np.ndarray:
-    """Bit-transpose ``planes`` into per-vector integers in ``values``."""
+    """Bit-transpose ``planes`` into per-vector ``int32`` integers."""
     bits = np.unpackbits(
         planes.view(np.uint8), axis=1, bitorder="little"
     )[:, :num_vectors]
-    np.copyto(
-        values,
-        np.einsum("jn,j->n", bits[:8], _POW2_8[: min(8, n_bits)]),
-        casting="same_kind",
-    )
+    values = np.einsum(
+        "jn,j->n", bits[:8], _POW2_8[: min(8, n_bits)]
+    ).astype(np.int32)
     for group_start in range(8, n_bits, 8):
         k = min(8, n_bits - group_start)
         part = np.einsum(
@@ -103,33 +71,6 @@ def _decode_planes(
     return values
 
 
-def decode_values(
-    arena: BufferArena, n_bits: int, signed: bool
-) -> np.ndarray:
-    """Decode the output planes into per-vector integers (arena.values).
-
-    Equivalent to per-plane ``unpackbits`` + shift-accumulate but does a
-    single stacked bit-transpose over all planes.
-    """
-    values = arena.values
-    if n_bits == 0:
-        values.fill(0)
-        return values
-    planes = _gather_planes(arena, n_bits)
-    return _decode_planes(planes, arena.num_vectors, n_bits, signed, values)
-
-
-def decode_error(
-    arena: BufferArena, n_bits: int, signed: bool, exact: np.ndarray
-) -> np.ndarray:
-    """Fused decode + ``|exact - value|`` into the float64 error buffer."""
-    values = decode_values(arena, n_bits, signed)
-    err = arena.err
-    np.subtract(exact, values, out=err)
-    np.absolute(err, out=err)
-    return err
-
-
 def decode_error_batch(
     arena: BufferArena,
     cand: int,
@@ -137,25 +78,22 @@ def decode_error_batch(
     signed: bool,
     exact: np.ndarray,
 ) -> np.ndarray:
-    """Batch-candidate decode + error into ``arena.batch_err[cand]``.
+    """Decode + error of the candidate just run into ``arena.err``.
 
-    Bit-identical to :func:`decode_error` run after the same program:
-    the same stacked transpose and the same ``exact - value`` operand
-    order, just gathering planes from the candidate's lane (or the
-    shared stimulus, for outputs wired straight to a primary input).
+    One stacked bit-transpose over all output planes, gathered from the
+    scratch lane (or the stimulus, for outputs wired straight to a
+    primary input) through batch candidate ``cand``'s output slots, then
+    ``|exact - value|`` in the operand order of the native decode.
     """
-    err = arena.batch_err[cand]
+    err = arena.err
     if n_bits == 0:
-        values = arena.values
-        values.fill(0)
+        values = np.zeros(arena.num_vectors, dtype=np.int32)
     else:
-        rows = arena.batch_rows(cand)
-        planes = arena.planes[:n_bits]
-        for j, s in enumerate(arena.batch_out_slots[cand, :n_bits].tolist()):
-            planes[j] = rows[s]
-        values = _decode_planes(
-            planes, arena.num_vectors, n_bits, signed, arena.values
+        rows = arena.slot_rows
+        planes = np.stack(
+            [rows[s] for s in arena.batch_out_slots[cand, :n_bits].tolist()]
         )
+        values = _decode_planes(planes, arena.num_vectors, n_bits, signed)
     np.subtract(exact, values, out=err)
     np.absolute(err, out=err)
     return err

@@ -3,10 +3,12 @@
 The exhaustive packed simulation is numpy-shaped but ufunc-call-bound: a
 width-8 multiplier phenotype is ~300 gates of 1024-word bitwise ops, so
 per-call dispatch overhead dominates the arithmetic.  This module embeds
-a ~150-line C implementation of the compile/execute/decode pipeline,
-builds it once with the system C compiler into a cached shared object,
-and drives it through ``ctypes`` over the same
-:class:`~repro.engine.arena.BufferArena` buffers the numpy backend uses.
+a C implementation of the compile/execute/decode pipeline with two entry
+points, ``cgp_compile`` (genome -> program) and ``cgp_eval_batch`` (run
+a batch of programs, then decode and reduce each), builds it once with
+the system C compiler into a cached shared object, and drives it
+through ``ctypes`` over the same :class:`~repro.engine.arena.BufferArena`
+buffers the numpy backend uses.
 
 Everything stays optional: if no compiler is available (or compilation
 fails, or ``REPRO_ENGINE=numpy`` is set) callers fall back to the
@@ -36,12 +38,11 @@ import tempfile
 import threading
 from typing import Optional
 
-import numpy as np
 
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
 #: Bump when C_SOURCE changes incompatibly (part of the .so cache key).
-_ABI_VERSION = 6
+_ABI_VERSION = 7
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -144,11 +145,8 @@ int32_t cgp_compile(const int64_t* genes, int32_t nn, int32_t ni, int32_t no,
     return n_total;
 }
 
-/* Slot -> row resolution shared by the single and batched entry points.
-   Slots below ni are the shared packed stimulus; slot s >= ni is row
-   s - ni of the candidate's private scratch lane.  The single-candidate
-   arena is the degenerate case lane == arena + ni*W (one contiguous
-   buffer), so both paths execute byte-identically. */
+/* Slot -> row resolution: slots below ni are the shared packed
+   stimulus; slot s >= ni is row s - ni of the candidate's scratch lane. */
 static inline const uint64_t* src_row(const uint64_t* inputs,
                                       const uint64_t* lane,
                                       int32_t ni, int32_t W, int32_t s)
@@ -204,21 +202,12 @@ static void exec_program(const uint64_t* inputs, uint64_t* lane,
                   ops, sa, sb, dst);
 }
 
-/* Single-candidate entry point over one contiguous arena. */
-void cgp_kernel(uint64_t* arena, int32_t ni, int32_t W, int32_t n_ops,
-                const int32_t* ops, const int32_t* sa, const int32_t* sb,
-                const int32_t* dst)
-{
-    exec_program(arena, arena + (size_t)ni * W, ni, W, n_ops,
-                 ops, sa, sb, dst);
-}
-
 /* Bit-transpose the output planes into per-vector byte groups.
    scratch needs (n_bits+7)/8 * ceil(num_vectors/8) uint64 entries.
    All (up to) 8 planes of a byte group are combined in one pass, so
    each accumulator word is stored exactly once.  Takes one pointer per
-   plane (rather than slot indices) so callers can resolve slots against
-   either a contiguous arena or a split inputs/lane pair. */
+   plane (rather than slot indices) so callers can resolve each slot
+   against the shared inputs or the candidate's lane. */
 static int64_t transpose_planes(const uint64_t* const* planes,
                                 int32_t n_bits, int64_t num_vectors,
                                 uint64_t* scratch)
@@ -282,32 +271,6 @@ static int64_t transpose_planes(const uint64_t* const* planes,
         }
     }
     return ngroups;
-}
-
-void cgp_decode(const uint64_t* arena, int32_t W, const int32_t* out_slots,
-                int32_t n_bits, int64_t num_vectors, int32_t do_sign,
-                uint64_t* scratch, int32_t* restrict values)
-{
-    const uint64_t* planes[32];
-    for (int32_t j = 0; j < n_bits; ++j)
-        planes[j] = arena + (size_t)out_slots[j] * W;
-    int64_t ngroups =
-        transpose_planes(planes, n_bits, num_vectors, scratch);
-    int32_t n_acc = (n_bits + 7) >> 3;
-    const uint8_t* a0 = (const uint8_t*)scratch;
-    const uint8_t* a1 = (const uint8_t*)(scratch + ngroups);
-    const uint8_t* a2 = (const uint8_t*)(scratch + 2 * ngroups);
-    const uint8_t* a3 = (const uint8_t*)(scratch + 3 * ngroups);
-    int32_t half = (do_sign && n_bits > 0 && n_bits < 32)
-                       ? (int32_t)(1U << (n_bits - 1)) : 0;
-    for (int64_t v = 0; v < num_vectors; ++v) {
-        int32_t val = a0[v];
-        if (n_acc > 1) val |= (int32_t)a1[v] << 8;
-        if (n_acc > 2) val |= (int32_t)a2[v] << 16;
-        if (n_acc > 3) val |= (int32_t)a3[v] << 24;
-        if (do_sign && val >= half) val -= half << 1;
-        values[v] = val;
-    }
 }
 
 /* Fused decode + |exact - value| (the WMED error vector).  The
@@ -580,38 +543,12 @@ static void decode_wsum_planes(const uint64_t* const* planes,
     }
 }
 
-void cgp_decode_err(const uint64_t* arena, int32_t W,
-                    const int32_t* out_slots, int32_t n_bits,
-                    int64_t num_vectors, int32_t do_sign, uint64_t* scratch,
-                    const int32_t* exact, double* restrict err)
-{
-    const uint64_t* planes[32];
-    for (int32_t j = 0; j < n_bits; ++j)
-        planes[j] = arena + (size_t)out_slots[j] * W;
-    decode_err_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                      exact, err);
-}
-
-void cgp_decode_reduce(const uint64_t* arena, int32_t W,
-                       const int32_t* out_slots, int32_t n_bits,
-                       int64_t num_vectors, int32_t do_sign,
-                       uint64_t* scratch, const int32_t* exact,
-                       int64_t* restrict stats)
-{
-    const uint64_t* planes[32];
-    for (int32_t j = 0; j < n_bits; ++j)
-        planes[j] = arena + (size_t)out_slots[j] * W;
-    decode_reduce_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                         exact, stats);
-}
-
-/* The arguments of one cgp_eval_batch call: candidate c's rows sit at
-   c * stride in each per-candidate array. */
+/* The arguments of one cgp_eval_batch call: candidate c's program sits
+   at c * prog_stride (its output slots at c * out_stride). */
 typedef struct {
     const uint64_t* inputs;
-    uint64_t* lanes;
+    uint64_t* lane;
     int32_t ni, W;
-    int64_t lane_stride;          /* in uint64 words */
     const int32_t* n_ops;
     const int32_t *ops, *sa, *sb, *dst;
     int64_t prog_stride;
@@ -620,10 +557,8 @@ typedef struct {
     int64_t out_stride, num_vectors;
     int32_t do_sign;
     uint64_t* scratch;
-    int64_t scratch_stride;
     const int32_t* exact;
     double* err;
-    int64_t err_stride;
     int64_t* stats;
     const double* weights;
     double norm, thr;
@@ -640,9 +575,9 @@ typedef struct {
    all monotone under round-to-nearest, so the final value would exceed
    thr as well.  wsum[c] receives the sum (a lower bound when exited[c]
    is set).  thr = +inf disables the exit. */
-static void eval_candidate_wsum(const batch_t* b, int32_t c,
-                                uint64_t* lane, uint64_t* scratch)
+static void eval_candidate_wsum(const batch_t* b, int32_t c)
 {
+    uint64_t* lane = b->lane;
     const int32_t* osl = b->out_slots + c * b->out_stride;
     int64_t po = c * b->prog_stride;
     double acc[16] = {0};
@@ -657,7 +592,7 @@ static void eval_candidate_wsum(const batch_t* b, int32_t c,
         int64_t v0 = (int64_t)t * 64;
         int64_t n = b->num_vectors - v0;
         if (n > (int64_t)tw * 64) n = (int64_t)tw * 64;
-        decode_wsum_planes(planes, b->n_bits, n, b->do_sign, scratch,
+        decode_wsum_planes(planes, b->n_bits, n, b->do_sign, b->scratch,
                            b->exact + v0, b->weights + v0, acc);
         if (t + tw < b->W && wsum_tree(acc) / b->norm > b->thr) {
             exited = 1;
@@ -668,7 +603,7 @@ static void eval_candidate_wsum(const batch_t* b, int32_t c,
     b->exited[c] = exited;
 }
 
-/* One candidate of a batch: execute its program into its lane, then
+/* One candidate of a batch: execute its program into the lane, then
    decode + error straight from the lane (or the shared inputs, for
    outputs wired directly to a primary input).  With stats non-NULL the
    error row is never touched: the distances are folded into the
@@ -676,10 +611,9 @@ static void eval_candidate_wsum(const batch_t* b, int32_t c,
    weights non-NULL they fold into the weighted sum, tile by tile. */
 static void eval_candidate(const batch_t* b, int32_t c)
 {
-    uint64_t* lane = b->lanes + c * b->lane_stride;
-    uint64_t* scratch = b->scratch + c * b->scratch_stride;
+    uint64_t* lane = b->lane;
     if (b->weights) {
-        eval_candidate_wsum(b, c, lane, scratch);
+        eval_candidate_wsum(b, c);
         return;
     }
     int64_t po = c * b->prog_stride;
@@ -691,73 +625,45 @@ static void eval_candidate(const batch_t* b, int32_t c)
         planes[j] = src_row(b->inputs, lane, b->ni, b->W, osl[j]);
     if (b->stats)
         decode_reduce_planes(planes, b->n_bits, b->num_vectors, b->do_sign,
-                             scratch, b->exact, b->stats + 3 * (int64_t)c);
+                             b->scratch, b->exact, b->stats + 3 * (int64_t)c);
     else
         decode_err_planes(planes, b->n_bits, b->num_vectors, b->do_sign,
-                          scratch, b->exact, b->err + c * b->err_stride);
+                          b->scratch, b->exact, b->err);
 }
 
 /* Batched evaluation: one call runs n_cand compiled programs over the
-   shared packed stimulus.  Every candidate owns a program slab row;
-   lane, transpose-scratch and error rows are per candidate too unless
-   their stride is 0.  A compiled program writes every non-input slot
-   before reading it (slots map to inputs or earlier destinations of
-   the same program), so with stride 0 the serial loop soundly reuses
-   one lane for all candidates — a much smaller, cache-resident working
-   set.  With OpenMP compiled in and nthreads > 1 the candidates are
-   split across a thread team (callers must then pass full strides).
-   Each candidate's arithmetic is identical either way (no
-   cross-candidate reads), so serial and parallel results match
-   bit-for-bit.  Strides are in elements of the respective arrays.
+   shared packed stimulus, one after another.  Every candidate owns a
+   program slab row (strides in int32 elements); the scratch lane and
+   the transpose scratch are shared.  A compiled program writes every
+   non-input slot before reading it (slots map to inputs or earlier
+   destinations of the same program), so no candidate reads another's
+   rows and a candidate's result does not depend on its batch; the one
+   lane stays cache-resident.
    Three outputs, by which pointer is non-NULL:
    - weights: the fused D-weighted sum of each candidate lands in
      wsum[c] and its early-exit flag in exited[c] (eval_candidate_wsum);
    - stats: candidate c's distances reduce into stats[3c .. 3c+2];
-   - otherwise: the float64 distances land in err row c. */
-void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
-                    int32_t lane_stride_rows, int32_t W, int32_t n_cand,
+   - otherwise: each candidate's float64 distances overwrite the one
+     err row, so callers read them one candidate per call. */
+void cgp_eval_batch(const uint64_t* inputs, uint64_t* lane, int32_t ni,
+                    int32_t W, int32_t n_cand,
                     const int32_t* n_ops_arr, const int32_t* ops,
                     const int32_t* sa, const int32_t* sb,
                     const int32_t* dst, int64_t prog_stride,
                     const int32_t* out_slots, int32_t n_bits,
                     int64_t out_stride, int64_t num_vectors,
                     int32_t do_sign, uint64_t* scratch,
-                    int64_t scratch_stride, const int32_t* exact,
-                    double* err, int64_t err_stride, int64_t* stats,
+                    const int32_t* exact, double* err, int64_t* stats,
                     const double* weights, double norm, double thr,
-                    double* wsum, int32_t* exited, int32_t nthreads)
+                    double* wsum, int32_t* exited)
 {
     batch_t b = {
-        inputs, lanes, ni, W, (int64_t)lane_stride_rows * W, n_ops_arr,
-        ops, sa, sb, dst, prog_stride, out_slots, n_bits, out_stride,
-        num_vectors, do_sign, scratch, scratch_stride, exact, err,
-        err_stride, stats, weights, norm, thr, wsum, exited,
+        inputs, lane, ni, W, n_ops_arr, ops, sa, sb, dst, prog_stride,
+        out_slots, n_bits, out_stride, num_vectors, do_sign, scratch,
+        exact, err, stats, weights, norm, thr, wsum, exited,
     };
-    int32_t nt = 1;
-#ifdef _OPENMP
-    nt = nthreads;
-#else
-    (void)nthreads;
-#endif
-    if (nt > 1 && n_cand > 1) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nt)
-        for (int32_t c = 0; c < n_cand; ++c)
-            eval_candidate(&b, c);
-#endif
-    } else {
-        for (int32_t c = 0; c < n_cand; ++c)
-            eval_candidate(&b, c);
-    }
-}
-
-int32_t cgp_omp_compiled(void)
-{
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
+    for (int32_t c = 0; c < n_cand; ++c)
+        eval_candidate(&b, c);
 }
 """
 
@@ -813,16 +719,12 @@ def _build_shared_object() -> Optional[str]:
     compiler = _find_compiler()
     if compiler is None:
         return None
-    # Prefer OpenMP-enabled builds (for the batched entry point); fall
-    # back to plain builds when the toolchain lacks -fopenmp.  Either
-    # way results are bit-identical — OpenMP only splits the candidate
-    # loop of cgp_eval_batch across threads.  -ffp-contract=off keeps
+    # Prefer a build tuned to the host ISA; fall back to a portable one
+    # when the toolchain rejects -march=native.  -ffp-contract=off keeps
     # the weighted sum's multiply and add separately rounded (GNU C may
     # otherwise fuse them into an FMA, breaking parity with numpy).
     flag_sets = (
-        ["-O3", "-march=native", "-fopenmp", "-shared", "-fPIC"],
         ["-O3", "-march=native", "-shared", "-fPIC"],
-        ["-O3", "-fopenmp", "-shared", "-fPIC"],
         ["-O3", "-shared", "-fPIC"],
     )
     flag_sets = tuple(flags + ["-ffp-contract=off"] for flags in flag_sets)
@@ -869,30 +771,15 @@ class NativeLib:
         lib.cgp_compile.argtypes = [
             _P, _I32, _I32, _I32, _P, _P, _P, _P, _P, _P, _P, _P, _P
         ]
-        lib.cgp_kernel.restype = None
-        lib.cgp_kernel.argtypes = [_P, _I32, _I32, _I32, _P, _P, _P, _P]
-        lib.cgp_decode.restype = None
-        lib.cgp_decode.argtypes = [_P, _I32, _P, _I32, _I64, _I32, _P, _P]
-        lib.cgp_decode_err.restype = None
-        lib.cgp_decode_err.argtypes = [
-            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P
-        ]
-        lib.cgp_decode_reduce.restype = None
-        lib.cgp_decode_reduce.argtypes = [
-            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P
-        ]
         lib.cgp_eval_batch.restype = None
         lib.cgp_eval_batch.argtypes = [
-            _P, _P, _I32, _I32, _I32, _I32,      # inputs..n_cand
+            _P, _P, _I32, _I32, _I32,            # inputs, lane, ni, W, n
             _P, _P, _P, _P, _P, _I64,            # n_ops, slabs, prog_stride
             _P, _I32, _I64,                      # out_slots, n_bits, stride
-            _I64, _I32, _P, _I64,                # nvec, sign, scratch+stride
-            _P, _P, _I64, _P,                    # exact, err+stride, stats
+            _I64, _I32, _P,                      # nvec, sign, scratch
+            _P, _P, _P,                          # exact, err, stats
             _P, _F64, _F64, _P, _P,              # weights, norm, thr, out
-            _I32,                                # nthreads
         ]
-        lib.cgp_omp_compiled.restype = _I32
-        lib.cgp_omp_compiled.argtypes = []
         lib.cgp_init()
         self._lib = lib
 
@@ -902,108 +789,11 @@ class NativeLib:
         # amortize the ~µs-scale ``ndarray.ctypes`` accessor per call.
         return arr if type(arr) is int else arr.ctypes.data
 
-    def compile(
-        self,
-        genes: np.ndarray,
-        num_nodes: int,
-        num_inputs: int,
-        num_outputs: int,
-        fn2op: np.ndarray,
-        op_arity: np.ndarray,
-        ops: np.ndarray,
-        src_a: np.ndarray,
-        src_b: np.ndarray,
-        dst: np.ndarray,
-        out_slots: np.ndarray,
-        needed: np.ndarray,
-        scratch_i32: np.ndarray,
-    ) -> int:
-        return int(
-            self._lib.cgp_compile(
-                self._ptr(genes), num_nodes, num_inputs, num_outputs,
-                self._ptr(fn2op), self._ptr(op_arity), self._ptr(ops),
-                self._ptr(src_a), self._ptr(src_b), self._ptr(dst),
-                self._ptr(out_slots), self._ptr(needed),
-                self._ptr(scratch_i32),
-            )
-        )
-
-    def kernel(
-        self,
-        buf: np.ndarray,
-        num_inputs: int,
-        words: int,
-        n_ops: int,
-        ops: np.ndarray,
-        src_a: np.ndarray,
-        src_b: np.ndarray,
-        dst: np.ndarray,
-    ) -> None:
-        self._lib.cgp_kernel(
-            self._ptr(buf), num_inputs, words, n_ops,
-            self._ptr(ops), self._ptr(src_a), self._ptr(src_b),
-            self._ptr(dst),
-        )
-
-    def decode(
-        self,
-        buf: np.ndarray,
-        words: int,
-        out_slots: np.ndarray,
-        n_bits: int,
-        num_vectors: int,
-        signed: bool,
-        scratch: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        self._lib.cgp_decode(
-            self._ptr(buf), words, self._ptr(out_slots), n_bits,
-            num_vectors, int(signed), self._ptr(scratch), self._ptr(values),
-        )
-
-    def decode_err(
-        self,
-        buf: np.ndarray,
-        words: int,
-        out_slots: np.ndarray,
-        n_bits: int,
-        num_vectors: int,
-        signed: bool,
-        scratch: np.ndarray,
-        exact: np.ndarray,
-        err: np.ndarray,
-    ) -> None:
-        self._lib.cgp_decode_err(
-            self._ptr(buf), words, self._ptr(out_slots), n_bits,
-            num_vectors, int(signed), self._ptr(scratch),
-            self._ptr(exact), self._ptr(err),
-        )
-
-    def decode_reduce(
-        self,
-        buf: np.ndarray,
-        words: int,
-        out_slots: np.ndarray,
-        n_bits: int,
-        num_vectors: int,
-        signed: bool,
-        scratch: np.ndarray,
-        exact: np.ndarray,
-        stats: np.ndarray,
-    ) -> None:
-        """Decode + reduce into ``stats = (sum |d|, count != 0, max)``."""
-        self._lib.cgp_decode_reduce(
-            self._ptr(buf), words, self._ptr(out_slots), n_bits,
-            num_vectors, int(signed), self._ptr(scratch),
-            self._ptr(exact), self._ptr(stats),
-        )
-
     def eval_batch(
         self,
         inputs,
-        lanes,
+        lane,
         num_inputs: int,
-        lane_stride_rows: int,
         words: int,
         n_cand: int,
         n_ops_arr,
@@ -1018,11 +808,8 @@ class NativeLib:
         num_vectors: int,
         signed: bool,
         scratch,
-        scratch_stride: int,
         exact,
         err,
-        err_stride: int,
-        nthreads: int,
         stats=0,
         weights=0,
         norm: float = 1.0,
@@ -1033,14 +820,13 @@ class NativeLib:
         """Evaluate ``n_cand`` compiled programs in one native call.
 
         Array arguments may be ndarrays or precomputed raw addresses;
-        strides are in elements.  ``nthreads`` <= 1 runs the serial
-        loop; N > 1 requests an OpenMP team of N (serial on a build
-        without OpenMP).  ``lane_stride_rows`` (and ``scratch_stride``)
-        may be 0 only on the serial path, where all candidates soundly
-        reuse one lane.  A non-zero ``stats`` points at an
-        ``(n_cand, 3)`` int64 buffer receiving each candidate's
-        ``(sum |d|, nonzero count, max |d|)``; the err rows then stay
-        untouched (exact-reduction fast path, see the C comments).
+        slab strides are in elements.  The candidates run one after
+        another through the one scratch ``lane`` (``num_nodes x words``
+        uint64) and ``scratch``, and each overwrites the one ``err``
+        row.  A non-zero ``stats`` points at an ``(n_cand, 3)`` int64
+        buffer receiving each candidate's ``(sum |d|, nonzero count,
+        max |d|)``; ``err`` then stays untouched (exact-reduction fast
+        path, see the C comments).
 
         A non-zero ``weights`` (float64 per vector) selects the fused
         D-weighted path instead: candidate ``c``'s weighted distance sum
@@ -1050,23 +836,24 @@ class NativeLib:
         setting ``exited[c]`` (int32) and leaving the partial sum, a
         lower bound, in ``wsum[c]``.  ``thr = inf`` disables the exit.
         """
-        if nthreads > 1 and n_cand > 1:
-            _mark_omp_team_used()
         self._lib.cgp_eval_batch(
-            self._ptr(inputs), self._ptr(lanes), num_inputs,
-            lane_stride_rows,
-            words, n_cand, self._ptr(n_ops_arr), self._ptr(ops),
+            self._ptr(inputs), self._ptr(lane), num_inputs, words, n_cand,
+            self._ptr(n_ops_arr), self._ptr(ops),
             self._ptr(src_a), self._ptr(src_b), self._ptr(dst),
             prog_stride, self._ptr(out_slots), n_bits, out_stride,
-            num_vectors, int(signed), self._ptr(scratch), scratch_stride,
-            self._ptr(exact), self._ptr(err), err_stride,
+            num_vectors, int(signed), self._ptr(scratch),
+            self._ptr(exact), self._ptr(err),
             self._ptr(stats), self._ptr(weights), norm, thr,
-            self._ptr(wsum), self._ptr(exited), nthreads,
+            self._ptr(wsum), self._ptr(exited),
         )
 
     def omp_compiled(self) -> bool:
-        """Whether the loaded .so was built with ``-fopenmp``."""
-        return bool(self._lib.cgp_omp_compiled())
+        """Always ``False``: the library is built without OpenMP.
+
+        Kept only because ``perfbench/common.py``'s ``fingerprint()``
+        still calls it; remove it with that call.
+        """
+        return False
 
 
 _lock = threading.Lock()
@@ -1102,51 +889,10 @@ def native_available() -> bool:
     return native_lib() is not None
 
 
-#: Pid of the process that last ran an OpenMP team (> 1 threads).
-#: libgomp's worker threads do not survive fork(); a forked child of a
-#: process that has already spun up a team (e.g. a ProcessPoolExecutor
-#: sweep worker) would deadlock on the next parallel region, so such
-#: children are forced onto the bit-identical serial loop.
-_omp_team_pid: Optional[int] = None
-
-
-def _mark_omp_team_used() -> None:
-    global _omp_team_pid
-    _omp_team_pid = os.getpid()
-
-
 def omp_threads() -> int:
-    """Effective thread request for batched native dispatch.
+    """Always 1: every batch runs on the calling thread.
 
-    Resolves the ``REPRO_OMP`` environment knob:
-
-    - unset / ``auto`` / ``on`` / ``0`` / ``off`` / ``1``: the serial
-      schedule (1).  Serial is the default because the team loses
-      wherever the brood's distance rows are reduced in numpy: MRED's
-      and non-uniform error-rate's ``np.dot`` runs on OpenBLAS's own
-      thread pool, and libgomp's workers, spinning between parallel
-      regions, contend with it for the cores.  The fused D-weighted
-      WMED brood is one serial call per brood.
-    - a positive integer ``N`` > 1: request an OpenMP team of ``N``.
-      :meth:`~repro.engine.evaluator.CompiledObjective.evaluate_batch`
-      uses it only where the reduction is the exact-integer C fold, so
-      distances never leave C and BLAS never runs.
-
-    Always returns a concrete count (>= 1); 1 whenever the .so lacks
-    OpenMP or this process is a forked child of one that already ran a
-    team (see ``_omp_team_pid``).  The default never loads the native
-    library.  The serial and threaded paths are bit-identical by
-    construction, so this only ever affects wall-clock.
+    Kept only because ``perfbench/common.py``'s ``fingerprint()`` still
+    calls it; remove it with that call.
     """
-    try:
-        n = int(os.environ.get("REPRO_OMP", "").strip())
-    except ValueError:
-        return 1
-    if n <= 1:
-        return 1
-    lib = native_lib()
-    if lib is None or not lib.omp_compiled():
-        return 1
-    if _omp_team_pid is not None and _omp_team_pid != os.getpid():
-        return 1
-    return n
+    return 1

@@ -85,7 +85,8 @@ ENGINE_CACHE_MISSES = REGISTRY.counter(
     "Phenotype-signature eval-cache misses.")
 ENGINE_BATCH_CALLS = REGISTRY.counter(
     "repro_engine_batch_calls_total",
-    "Batched kernel dispatches (one C call per brood).")
+    "evaluate_batch() calls that ran at least one lane (evaluate() is a "
+    "batch of one).")
 ENGINE_BATCH_EVALS = REGISTRY.counter(
     "repro_engine_batch_evals_total",
     "Candidate lanes evaluated by batched kernel dispatches.")

@@ -3,8 +3,8 @@
 The engine's contract is *bit-identical semantics* to the interpreted
 path at much higher throughput, so almost everything here is an
 equivalence property: compiled kernels vs. the scalar reference
-simulator, engine evaluators vs. ``MultiplierFitness``, cached vs.
-fresh results, parallel vs. serial sweeps.
+simulator, engine evaluators vs. the interpreted multiplier objective,
+cached vs. fresh results, parallel vs. serial sweeps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.circuits.simulator import (
 )
 from repro.core.chromosome import CGPParams
 from repro.core.evolution import EvolutionConfig, evolve
-from repro.core.fitness import MultiplierFitness
+from repro.core.components import multiplier_objective
 from repro.core.mutation import mutate
 from repro.core.seeding import (
     netlist_to_chromosome,
@@ -35,7 +35,7 @@ from repro.core.seeding import (
 )
 from repro.engine import (
     BufferArena,
-    CompiledMultiplierFitness,
+    CompiledObjective,
     EvalCache,
     compile_netlist,
     compile_phenotype,
@@ -59,25 +59,34 @@ def random_netlist(rng: np.random.Generator, ni: int, n_gates: int) -> Netlist:
     return net
 
 
+def _compiled(width: int, dist, backend: str = "auto"):
+    return CompiledObjective(multiplier_objective(width, dist), backend=backend)
+
+
 def run_compiled(net: Netlist) -> np.ndarray:
-    """Execute a netlist's compiled program on the numpy backend."""
+    """Execute a netlist's compiled program in lane 0 of the numpy batch
+    kernel and decode its unsigned outputs."""
     cp = compile_netlist(net)
-    stim = exhaustive_inputs(net.num_inputs)
+    num_vectors = 1 << net.num_inputs
     arena = BufferArena(
         net.num_inputs,
         max(len(net.gates), 1),
         net.num_outputs,
-        stim,
-        1 << net.num_inputs,
+        exhaustive_inputs(net.num_inputs),
+        num_vectors,
     )
+    arena.ensure_batch(1)
     n = cp.n_ops
-    arena.ops[:n] = cp.ops
-    arena.src_a[:n] = cp.src_a
-    arena.src_b[:n] = cp.src_b
-    arena.dst[:n] = cp.dst
-    arena.out_slots[:] = cp.out_slots
-    kernels.run_program(arena, n)
-    return kernels.decode_values(arena, net.num_outputs, signed=False).copy()
+    arena.batch_ops[0, :n] = cp.ops
+    arena.batch_src_a[0, :n] = cp.src_a
+    arena.batch_src_b[0, :n] = cp.src_b
+    arena.batch_dst[0, :n] = cp.dst
+    arena.batch_out_slots[0, : net.num_outputs] = cp.out_slots
+    kernels.run_program_batch(arena, 0, n)
+    # Unsigned outputs are non-negative, so |0 - value| is the value.
+    zeros = np.zeros(num_vectors, dtype=np.int32)
+    err = kernels.decode_error_batch(arena, 0, net.num_outputs, False, zeros)
+    return err.astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +141,7 @@ def test_liveness_allocation_reuses_slots():
 
 
 # ----------------------------------------------------------------------
-# Evaluator vs. MultiplierFitness (bit-exact)
+# Evaluator vs. the interpreted multiplier objective (bit-exact)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
@@ -148,13 +157,12 @@ def test_engine_evaluator_bit_identical(rng, backend, signed, width, builder):
     params = params_for_netlist(net, extra_columns=8)
     chrom = netlist_to_chromosome(net, params)
     dist = uniform(width, signed=signed)
-    base = MultiplierFitness(width, dist)
-    eng = CompiledMultiplierFitness(width, dist, backend=backend)
+    base = multiplier_objective(width, dist)
+    eng = _compiled(width, dist, backend=backend)
     assert eng.backend == backend
     c = chrom
     for _ in range(30):
         c, _ = mutate(c, 5, rng)
-        assert np.array_equal(eng.truth_table(c), base.truth_table(c))
         rb = base.evaluate(c, 0.05)
         re = eng.evaluate(c, 0.05)
         assert rb.wmed == re.wmed  # bit-exact, not approx
@@ -166,18 +174,18 @@ def test_engine_evaluator_bit_identical(rng, backend, signed, width, builder):
 def test_engine_on_random_chromosomes(rng, backend):
     params = CGPParams(num_inputs=8, num_outputs=8, columns=30)
     dist = uniform(4, signed=False)
-    base = MultiplierFitness(4, dist)
-    eng = CompiledMultiplierFitness(4, dist, backend=backend)
+    base = multiplier_objective(4, dist)
+    eng = _compiled(4, dist, backend=backend)
     for _ in range(20):
         c = random_chromosome(params, rng)
-        assert np.array_equal(eng.truth_table(c), base.truth_table(c))
         assert eng.wmed(c) == base.wmed(c)
+        assert eng.evaluate(c, 0.05) == base.evaluate(c, 0.05)
 
 
 def test_engine_rejects_mismatched_width():
     net = build_array_multiplier(4)
     chrom = netlist_to_chromosome(net, params_for_netlist(net))
-    eng = CompiledMultiplierFitness(6, uniform(6, signed=False))
+    eng = _compiled(6, uniform(6, signed=False))
     with pytest.raises(ValueError):
         eng.evaluate(chrom, 0.1)
 
@@ -186,12 +194,12 @@ def test_engine_rejects_mismatched_width():
 # Phenotype cache
 # ----------------------------------------------------------------------
 def test_cache_hits_return_fresh_equal_results(rng):
-    """Cache-hit results equal a fresh MultiplierFitness evaluation."""
+    """Cache-hit results equal a fresh interpreted evaluation."""
     net = build_baugh_wooley_multiplier(4)  # signed path
     params = params_for_netlist(net, extra_columns=10)
     chrom = netlist_to_chromosome(net, params)
     dist = uniform(4, signed=True)
-    eng = CompiledMultiplierFitness(4, dist)
+    eng = _compiled(4, dist)
     c = chrom
     candidates = []
     for _ in range(15):
@@ -199,7 +207,7 @@ def test_cache_hits_return_fresh_equal_results(rng):
         candidates.append(c)
         eng.evaluate(c, 0.02)
     assert eng.cache.stats()["entries"] > 0
-    fresh = MultiplierFitness(4, dist)
+    fresh = multiplier_objective(4, dist)
     before = eng.cache.hits
     for c in candidates:
         re = eng.evaluate(c, 0.02)  # all should hit now
@@ -212,7 +220,7 @@ def test_cache_hit_on_neutral_genotype_change(rng):
     net = build_array_multiplier(4)
     params = params_for_netlist(net, extra_columns=12)
     chrom = netlist_to_chromosome(net, params)
-    eng = CompiledMultiplierFitness(4, uniform(4, signed=False))
+    eng = _compiled(4, uniform(4, signed=False))
     eng.evaluate(chrom, 0.1)
     active = set(int(x) for x in chrom.active_gene_positions())
     neutral = None
@@ -253,8 +261,8 @@ def test_evolve_trajectory_identical_with_engine(backend):
     cfg = EvolutionConfig(generations=120, history_every=1)
     runs = {}
     for name, ev in (
-        ("base", MultiplierFitness(4, dist)),
-        ("engine", CompiledMultiplierFitness(4, dist, backend=backend)),
+        ("base", multiplier_objective(4, dist)),
+        ("engine", _compiled(4, dist, backend=backend)),
     ):
         runs[name] = evolve(
             seed, ev, threshold=0.02, config=cfg,

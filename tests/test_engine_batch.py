@@ -1,20 +1,21 @@
 """Tests for the engine's batched evaluation ABI (PR 6).
 
-The batch path's contract is the same as the engine's overall: *bit
-identical* to evaluating sequentially — same compiled programs, same
-integer kernels, same reductions — whatever the component, metric,
-backend, or brood composition (duplicates, cache hits).  On top of
-that sit the batch-specific behaviors: within-batch phenotype dedupe,
-the eval-cache lookup that prevents recompiled cache-miss storms, the
-single-owner arena guard, the ``REPRO_OMP`` knob (serial by default;
-a requested team runs only on the exact-integer reduction), the
-native exact-integer reduction fast path, and the fused D-weighted
-WMED path's early exit for offspring that provably miss the target.
+The batch path is the engine's only evaluation path (``evaluate`` is a
+batch of one), and its contract is the engine's overall: a candidate's
+result is *bit identical* whatever batch it is evaluated in — same
+compiled programs, same integer kernels, same reductions — whatever
+the component, metric, backend, or brood composition (duplicates,
+cache hits).  On top of that sit the batch-specific behaviors:
+within-batch phenotype dedupe, the eval-cache lookup that prevents
+recompiled cache-miss storms, the single-owner arena guard, the
+interpreted fallback for params the engine cannot run and for
+mixed-params lists, the native exact-integer reduction fast path, and
+the fused D-weighted WMED path's early exit for offspring that provably
+miss the target.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -28,14 +29,9 @@ from repro.core.seeding import (
     params_for_netlist,
     random_chromosome,
 )
-from repro.engine import (
-    CompiledMultiplierFitness,
-    CompiledObjective,
-    native_available,
-)
-from repro.engine import native
+from repro.core.objective import CircuitObjective
+from repro.engine import CompiledObjective, native_available
 from repro.engine.evaluator import _EngineEvalMixin, _Runtime
-from repro.engine.native import native_lib, omp_threads
 from repro.errors.distributions import (
     discretized_half_normal,
     paper_d2,
@@ -43,7 +39,6 @@ from repro.errors.distributions import (
 )
 
 BACKENDS = ["numpy"] + (["native"] if native_available() else [])
-OMP_BUILD = native_available() and native_lib().omp_compiled()
 METRICS = ("wmed", "med", "mred", "error-rate", "worst-case")
 
 
@@ -138,7 +133,7 @@ def test_batch_serves_cache_before_dispatch():
 def test_seeded_evolve_run_has_cache_hits():
     # Regression for the eval-cache miss storm: a short seeded run must
     # produce a nonzero hit rate (neutral drift revisits phenotypes).
-    eng = CompiledMultiplierFitness(3, uniform(3))
+    eng = _objective("multiplier", 3, "wmed", "auto")
     seed = _seed_chromosome("multiplier", 3)
     evolve(
         seed, eng, 0.01, EvolutionConfig(generations=400),
@@ -172,93 +167,36 @@ def test_arena_rejects_cross_thread_use():
 
 
 # ----------------------------------------------------------------------
-# REPRO_OMP knob
+# Fallbacks: runtime-less params and mixed-params lists
 # ----------------------------------------------------------------------
-def test_repro_omp_off_forces_serial_and_identical_results(monkeypatch):
-    brood = _brood("multiplier", 4, 6, seed=9)
-    default = _objective("multiplier", 4, "wmed", "auto")
-    expected = default.evaluate_batch(brood, 0.01)
-    monkeypatch.setenv("REPRO_OMP", "0")
-    assert omp_threads() == 1
-    serial = _objective("multiplier", 4, "wmed", "auto")
-    assert serial.evaluate_batch(brood, 0.01) == expected
+def test_fallbacks_match_interpreted_without_recursion(monkeypatch, rng):
+    # A reference beyond the int32 decode range leaves the engine no
+    # runtime; a mixed-params list is split into per-params batches.
+    adder = component_objective("adder", 4, uniform(4))
+    wide = CircuitObjective(8, adder.reference + (1 << 40))
+    small = _seed_chromosome("adder", 4, extra=8)
+    large = _seed_chromosome("adder", 4, extra=12)
+    mixed = []
+    for k in range(6):
+        c, _ = mutate(small if k % 2 else large, 4, rng)
+        mixed.append(c)
+    mixed.append(mixed[1])  # in-group duplicate
+    cases = []
+    for base in (wide, adder):
+        eng = CompiledObjective(base)
+        cases.append((eng, base, [eng.evaluate(c, 0.05) for c in mixed]))
+    assert cases[0][0]._runtime(small.params) is None
+    assert cases[1][0]._runtime(small.params) is not None
 
+    def no_reentry(self, chromosome, threshold):
+        raise AssertionError("evaluate_batch re-entered evaluate()")
 
-def test_omp_threads_always_concrete(monkeypatch):
-    # Unset, auto and on all mean the serial schedule: a team is opt-in.
-    for raw in ("0", "off", "no", "false", "1", "-3", "junk",
-                "auto", "on", "AUTO"):
-        monkeypatch.setenv("REPRO_OMP", raw)
-        assert omp_threads() == 1
-    monkeypatch.delenv("REPRO_OMP")
-    assert omp_threads() == 1
-
-
-@pytest.mark.skipif(not OMP_BUILD, reason="native OpenMP build required")
-def test_repro_omp_n_requests_a_team(monkeypatch):
-    monkeypatch.setattr(native, "_omp_team_pid", None)
-    monkeypatch.setenv("REPRO_OMP", "2")
-    assert omp_threads() == 2
-
-
-def _spy_team_starts(monkeypatch) -> list:
-    """Record every native dispatch that starts an OpenMP team."""
-    starts = []
-    mark = native._mark_omp_team_used
-
-    def spy():
-        starts.append(os.getpid())
-        mark()
-
-    monkeypatch.setattr(native, "_mark_omp_team_used", spy)
-    return starts
-
-
-@pytest.mark.skipif(not OMP_BUILD, reason="native OpenMP build required")
-def test_team_never_runs_on_float_reduce(monkeypatch):
-    # D2-weighted WMED is the fused float reduce, one serial call per
-    # brood: even with a team requested, no team starts.
-    monkeypatch.setattr(native, "_omp_team_pid", None)
-    monkeypatch.setenv("REPRO_OMP", "2")
-    objective = component_objective("multiplier", 4, paper_d2(4))
-    brood = _brood("multiplier", 4, 8, seed=5)
-    batch_obj = CompiledObjective(objective, backend="native")
-    seq_obj = CompiledObjective(objective, backend="native")
-    assert batch_obj.stats()["fast_reduce"] is None
-    batched = batch_obj.evaluate_batch(brood, 0.05)
-    assert native._omp_team_pid is None
-    assert batched == [seq_obj.evaluate(c, 0.05) for c in brood]
-
-
-@pytest.mark.skipif(not OMP_BUILD, reason="native OpenMP build required")
-def test_team_runs_on_exact_reduce_when_requested(monkeypatch):
-    starts = _spy_team_starts(monkeypatch)
-    monkeypatch.setenv("REPRO_OMP", "2")
-    brood = _brood("multiplier", 4, 8, seed=5)
-    batch_obj = _objective("multiplier", 4, "wmed", "native")
-    seq_obj = _objective("multiplier", 4, "wmed", "native")
-    assert batch_obj.stats()["fast_reduce"] == "wmed"
-    batched = batch_obj.evaluate_batch(brood, 0.05)
-    assert starts == [os.getpid()]
-    assert native._omp_team_pid == os.getpid()
-    assert batched == [seq_obj.evaluate(c, 0.05) for c in brood]
-
-
-@pytest.mark.skipif(not native_available(), reason="native backend required")
-def test_default_evolve_starts_no_team(monkeypatch):
-    # Guards the serial default: an exact-reduce evolve (the one path a
-    # team may take) under default settings never dispatches threaded.
-    monkeypatch.setattr(native, "_omp_team_pid", None)
-    monkeypatch.delenv("REPRO_OMP", raising=False)
-    starts = _spy_team_starts(monkeypatch)
-    eng = CompiledMultiplierFitness(4, uniform(4), backend="native")
-    evolve(
-        _seed_chromosome("multiplier", 4), eng, 0.01,
-        EvolutionConfig(generations=50), rng=np.random.default_rng(3),
-    )
-    assert eng.stats()["batch"]["calls"] > 0
-    assert starts == []
-    assert native._omp_team_pid is None
+    monkeypatch.setattr(_EngineEvalMixin, "evaluate", no_reentry)
+    for eng, base, singles in cases:
+        want = [base.evaluate(c, 0.05) for c in mixed]
+        assert singles == want
+        assert eng.evaluate_batch(mixed, 0.05) == want
+        assert eng.evaluate_batch(mixed[:1], 0.05) == want[:1]
 
 
 # ----------------------------------------------------------------------
@@ -288,11 +226,11 @@ def test_reduce_stats_match_materialized_distances():
     # implies — exactly, not approximately.
     obj = _objective("multiplier", 4, "wmed", "native", cache_entries=0)
     rt = obj._runtime(_seed_chromosome("multiplier", 4).params)
+    rt.ensure_batch(1)
     for ch in _brood("multiplier", 4, 12, seed=21):
-        n_ops = rt.compile(ch.genes)
-        rt.execute(n_ops)
-        s, nz, mx = rt.reduce_stats(obj.signed)
-        err = rt.error(obj.signed, obj._exact32).copy()
+        rt.compile_into_lane(ch.genes, 0)
+        s, nz, mx = rt.execute_lane_stats(0, obj.signed)
+        err = rt.execute_lane(0, obj.signed).copy()
         assert s == int(err.sum())
         assert nz == int(np.count_nonzero(err))
         assert mx == int(err.max())
@@ -407,8 +345,11 @@ def test_early_exit_requested_only_under_a_feasible_parent(monkeypatch):
                     rng=np.random.default_rng(1))
     assert not result.feasible
     assert requested and not any(requested)
-    # And a feasible parent does ask for it.
+    # And a feasible parent does ask for it.  The first call is the
+    # seed's own evaluate(), a batch of one that never asks: the
+    # parent's feasibility is not known yet.
     requested.clear()
     evolve(_seed_chromosome("multiplier", 4), objective, 0.01,
            EvolutionConfig(generations=10), rng=np.random.default_rng(1))
-    assert requested and all(requested)
+    assert requested[0] is False
+    assert requested[1:] and all(requested[1:])

@@ -15,10 +15,8 @@ import pytest
 
 from repro.circuits.simulator import truth_table
 from repro.core import (
-    CircuitFitness,
     CircuitObjective,
     EvolutionConfig,
-    MultiplierFitness,
     adder_objective,
     component_objective,
     evolve,
@@ -264,7 +262,7 @@ def test_every_metric_compiled_matches_interpreted_bitwise(
             assert rb.wmed == re.wmed  # bit-exact, not approx
             assert rb.area == re.area
             assert rb.fitness == re.fitness
-        assert np.array_equal(eng.truth_table(c), base.truth_table(c))
+        assert eng.error(c) == base.error(c)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -298,7 +296,7 @@ def test_new_components_bit_identical_across_widths_2_to_8(
                 assert rb.wmed == re.wmed  # bit-exact, not approx
                 assert rb.area == re.area
                 assert rb.fitness == re.fitness
-            assert np.array_equal(eng.truth_table(c), base.truth_table(c))
+            assert eng.error(c) == base.error(c)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -354,8 +352,9 @@ def test_cache_key_distinguishes_objectives(rng):
         rt = eng._runtime(chrom.params)
         if rt is None:  # pragma: no cover - engine unavailable
             pytest.skip("engine runtime unavailable")
-        n_ops = rt.compile(chrom.genes)
-        sigs.add(rt.signature(n_ops))
+        rt.ensure_batch(1)
+        n_ops = rt.compile_into_lane(chrom.genes, 0)
+        sigs.add(rt.lane_signature(0, n_ops))
     assert len(sigs) == len(evaluators)
 
 
@@ -375,20 +374,36 @@ def test_wide_reference_falls_back_to_interpreted(rng):
 # Objective construction and compatibility aliases
 # ----------------------------------------------------------------------
 def test_multiplier_objective_is_legacy_fitness():
-    obj = multiplier_objective(4, uniform(4, signed=True))
-    assert isinstance(obj, MultiplierFitness)
-    assert isinstance(obj, CircuitObjective)
+    """The multiplier objective keeps the removed ``MultiplierFitness``
+    construction: exact product table, x-operand WMED weights, maximum
+    product magnitude as normalizer."""
+    from repro.errors.truth_tables import (
+        exact_product_table,
+        max_product_magnitude,
+        vector_weights,
+    )
+
+    dist = uniform(4, signed=True)
+    obj = multiplier_objective(4, dist)
+    assert type(obj) is CircuitObjective
     assert obj.component == "multiplier"
-    assert np.array_equal(obj.exact, obj.reference)
+    assert obj.signed
+    assert np.array_equal(obj.reference, exact_product_table(4, True))
+    w = vector_weights(dist, 4)
+    assert np.array_equal(obj.weights, w / w.sum())
+    assert obj.normalizer == float(max_product_magnitude(4, True))
+    with pytest.raises(ValueError):
+        multiplier_objective(4, uniform(3, signed=True))
 
 
 def test_make_evaluator_engine_path_keeps_legacy_identity():
-    """make_evaluator's engine path still returns a MultiplierFitness."""
+    """make_evaluator's engine path is the compiled multiplier objective."""
     from repro.analysis import make_evaluator
 
-    ev = make_evaluator(4, uniform(4, signed=True))
-    assert isinstance(ev, MultiplierFitness)
-    assert np.array_equal(ev.exact, ev.reference)  # legacy accessor
+    dist = uniform(4, signed=True)
+    ev = make_evaluator(4, dist)
+    assert isinstance(ev, CompiledObjective)
+    assert np.array_equal(ev.reference, multiplier_objective(4, dist).reference)
     assert hasattr(ev, "evaluate_batch")
 
 
@@ -396,14 +411,6 @@ def test_netlist_objective_rejects_signedness_mismatch():
     net = get_component("adder").build_seed(4, False)
     with pytest.raises(ValueError, match="signedness"):
         netlist_objective(net, dist=uniform(4, signed=True), signed=False)
-
-
-def test_circuit_fitness_is_objective_without_type_ignore():
-    fit = CircuitFitness(8, np.zeros(256))
-    assert isinstance(fit, CircuitObjective)
-    # The shared hot path is inherited, not delegated via casts.
-    assert CircuitFitness.truth_table is CircuitObjective.truth_table
-    assert CircuitFitness.area is CircuitObjective.area
 
 
 def test_netlist_objective_matches_component_objective(rng):

@@ -324,7 +324,7 @@ def test_engine_stats_shape_and_registry_deltas():
     # The legacy dict shapes are pinned bit-for-bit: same keys, values
     # sourced from the per-instance counters exactly as before.
     assert set(stats) == {
-        "backend", "cache", "fast_reduce", "runtimes", "batch", "omp",
+        "backend", "cache", "fast_reduce", "runtimes", "batch",
     }
     assert set(stats["batch"]) == {"calls", "evals", "dedup", "early_exit"}
     assert set(stats["cache"]) == {
